@@ -5,9 +5,13 @@ then lets the per-feature summaries exchange information through
 multi-head self-attention, capturing cross-feature interdependencies.
 
 The per-feature GRUs are vectorized: all ``C`` single-input GRUs run as
-one stacked recurrence with per-feature weight slices, using the autodiff
-engine's batched matmul — equivalent to ``C`` independent GRUs but one
-Python loop over time instead of ``C`` of them.
+one stacked recurrence with per-feature weight slices through
+:func:`repro.nn.ops.per_feature_gru_scan` — equivalent to ``C``
+independent GRUs, but one graph node for the whole sequence with a
+hand-derived backward, instead of a Python loop of small autodiff ops
+per timestep.  Streaming inference advances the same recurrence one step
+at a time with the array kernel ``ops.per_feature_gru_scan_step``, which
+reproduces the scan's state bit for bit.
 """
 
 from __future__ import annotations
@@ -44,36 +48,8 @@ class PerFeatureGRU(Module):
         self.bias = Parameter(np.zeros((num_features, 3 * hidden_size)))
 
     def forward(self, values):
-        batch, steps, _ = values.shape
-        # State laid out (C, B, H) so the stacked matmul batches over C.
-        h = self.initial_state(batch)
-        # Hoist every per-feature input projection out of the time loop:
-        # one broadcast (C, T, B, 1) @ (C, 1, 1, 3H) batched GEMM covers
-        # all timesteps (PR 10); the loop keeps only the recurrent GEMM.
-        # With K=1 the projection is an outer product — elementwise — so
-        # slicing a timestep out of the batched result is bit-identical
-        # to projecting that timestep alone (the streaming path relies
-        # on this).
-        x_all = values.transpose((2, 1, 0)).reshape(
-            self.num_features, steps, batch, 1)
-        gates_x = ops.matmul(x_all, self.w_ih.reshape(
-            self.num_features, 1, 1, 3 * self.hidden_size)) \
-            + self.bias.reshape(self.num_features, 1, 1,
-                                3 * self.hidden_size)
-        for t in range(steps):
-            h = self._recur_step(h, gates_x[:, t])
-        return h.transpose((1, 0, 2))                    # (B, C, H)
-
-    def _recur_step(self, h, gates_x):
-        """Advance the stacked recurrence one step given the already-
-        projected input gates ``(C, B, 3H)``."""
-        gates_h = ops.matmul(h, self.w_hh)
-        zx, rx, nx = ops.split(gates_x, 3, axis=-1)
-        zh, rh, nh = ops.split(gates_h, 3, axis=-1)
-        update = ops.sigmoid(zx + zh)
-        reset = ops.sigmoid(rx + rh)
-        candidate = ops.tanh(nx + reset * nh)
-        return update * h + (1.0 - update) * candidate
+        return ops.per_feature_gru_scan(values, self.w_ih, self.w_hh,
+                                        self.bias)         # (B, C, H)
 
     # -- streaming inference (serve tier) ------------------------------
     def initial_state(self, batch_size):
@@ -85,15 +61,12 @@ class PerFeatureGRU(Module):
         """One stacked per-feature GRU step for one timestep slice.
 
         ``x_t`` is a ``(B, C)`` tensor; returns the new ``(C, B, H)``
-        state.  The input projection here is the single-timestep form of
-        the batched pre-loop projection in :meth:`forward` — with K=1
-        both are outer products, so the two paths agree bit-for-bit.
+        state, bit-identical to the state :meth:`forward` reaches after
+        the same prefix.
         """
-        batch = x_t.shape[0]
-        x_t = x_t.transpose().reshape(self.num_features, batch, 1)
-        gates_x = ops.matmul(x_t, self.w_ih) + self.bias.reshape(
-            self.num_features, 1, 3 * self.hidden_size)
-        return self._recur_step(h, gates_x)
+        return nn.Tensor(ops.per_feature_gru_scan_step(
+            x_t.data, h.data, self.w_ih.data, self.w_hh.data,
+            self.bias.data))
 
 
 class ConCare(Module, InferenceMixin):

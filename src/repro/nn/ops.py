@@ -58,14 +58,15 @@ __all__ = [
     "reshape", "transpose", "swapaxes", "getitem", "concat", "stack",
     "split", "unbind_time", "softmax", "log_softmax",
     "softmax_cross_entropy", "where", "dropout_mask", "pad_last",
-    "outer_last", "embedding_lookup", "gru_step", "gru_scan", "lstm_scan",
-    "grud_scan", "stagenet_scan",
+    "outer_last", "embedding_lookup", "gru_step", "gru_scan",
+    "per_feature_gru_scan", "lstm_scan", "grud_scan", "stagenet_scan",
 ]
-# gru_scan_step / lstm_scan_step / grud_scan_step / stagenet_scan_step /
-# linear_rows are deliberately NOT in __all__: they are inference-only
-# array kernels (no Tensor, no graph, no backward) behind the streaming
-# stream_step hooks, and __all__ doubles as the differentiable-op
-# registry contract (tests/nn/test_gradcheck_registry).
+# gru_scan_step / per_feature_gru_scan_step / lstm_scan_step /
+# grud_scan_step / stagenet_scan_step / linear_rows are deliberately NOT
+# in __all__: they are inference-only array kernels (no Tensor, no graph,
+# no backward) behind the streaming stream_step hooks, and __all__
+# doubles as the differentiable-op registry contract
+# (tests/nn/test_gradcheck_registry).
 
 
 # ----------------------------------------------------------------------
@@ -840,6 +841,17 @@ def swapaxes(a, axis1, axis2):
     return Tensor._make(out_data, (a,), backward)
 
 
+def _is_basic_index(index):
+    """Whether ``index`` is numpy *basic* indexing (ints, slices,
+    ``Ellipsis``, ``None``), which can never select an element twice."""
+    items = index if isinstance(index, tuple) else (index,)
+    return builtins.all(
+        item is None or item is Ellipsis or isinstance(item, slice)
+        or (isinstance(item, (int, np.integer))
+            and not isinstance(item, bool))
+        for item in items)
+
+
 @differentiable(lambda rng: [
     OpSample(lambda a: _sqsum(getitem(a, (slice(1, None), slice(None, 2)))),
              rng.normal(size=(3, 4))),
@@ -851,14 +863,24 @@ def swapaxes(a, axis1, axis2):
              rng.normal(size=(3, 4))),
 ])
 def getitem(a, index):
-    """Basic and advanced indexing; gradients scatter-add back."""
+    """Basic and advanced indexing; gradients scatter-add back.
+
+    A basic index selects each element at most once, so its backward is
+    a plain strided assignment into the zeros; only advanced indices
+    (which may repeat an element) pay for the accumulating
+    ``np.add.at``.
+    """
     a = as_tensor(a)
     out_data = a.data[index]
+    basic = _is_basic_index(index)
 
     def backward(grad):
         if a.requires_grad:
             full = np.zeros_like(a.data)
-            np.add.at(full, index, grad)
+            if basic:
+                full[index] = grad
+            else:
+                np.add.at(full, index, grad)
             a._accumulate(full, owned=True)
 
     return Tensor._make(out_data, (a,), backward)
@@ -1211,6 +1233,70 @@ def _sigmoid_into(x, out):
     return out
 
 
+def _gru_gates_into(gt, gh, h_prev, g_act, h_new, tmp):
+    """The GRU gate tail shared by the GRU scans and their stream steps.
+
+    Rank-agnostic (gates on the last axis, laid out ``[z | r | n]``):
+    ``gt`` holds the input-side gate pre-activations and is consumed in
+    place, ``gh`` the hidden-side ones (its candidate block ``n_h`` is
+    read, never written).  Writes the post-activation ``[z | r | n]``
+    into ``g_act`` (which may alias ``gt``) and
+    ``z * h_prev + (1 - z) * n`` into ``h_new``; ``tmp`` is scratch of
+    ``h_prev``'s shape.  Scan and step kernels run this one ufunc
+    sequence, so a streamed step reproduces its scan step bit for bit.
+    """
+    hidden = h_prev.shape[-1]
+    h2 = 2 * hidden
+    gt[..., :h2] += gh[..., :h2]
+    _sigmoid_into(gt[..., :h2], out=g_act[..., :h2])
+    z = g_act[..., :hidden]
+    r = g_act[..., hidden:h2]
+    n_pre = gt[..., h2:]
+    np.multiply(r, gh[..., h2:], out=tmp)
+    n_pre += tmp
+    n = np.tanh(n_pre, out=g_act[..., h2:])
+    np.subtract(h_prev, n, out=h_new)            # z*h + (1-z)*n
+    h_new *= z
+    h_new += n
+    return h_new
+
+
+def _gru_gates_backward_into(dh, g_act, nh, h_prev, dgx, dgh, om):
+    """Backward of :func:`_gru_gates_into` for one step.
+
+    Given ``dh`` (the gradient w.r.t. ``h_new``), the cached ``g_act``
+    and ``nh`` (the hidden-side candidate pre-activation), fills ``dgx``
+    with the gradient w.r.t. the input-side gates ``[z | r | n]`` and
+    ``dgh`` with the gradient w.r.t. the hidden-side gates, which differ
+    only in the candidate block (scaled by the reset gate).  ``om`` is
+    scratch of ``dh``'s shape.  The direct term ``dh * z`` of
+    ``d h_prev`` is left to the caller.
+    """
+    hidden = dh.shape[-1]
+    h2 = 2 * hidden
+    z = g_act[..., :hidden]
+    r = g_act[..., hidden:h2]
+    n = g_act[..., h2:]
+    d_z = dgx[..., :hidden]
+    d_r = dgx[..., hidden:h2]
+    d_n = dgx[..., h2:]
+    np.subtract(1.0, z, out=om)                  # 1 - z
+    np.multiply(n, n, out=d_n)                   # d_n_pre
+    np.subtract(1.0, d_n, out=d_n)
+    d_n *= dh
+    d_n *= om
+    np.subtract(h_prev, n, out=d_z)              # d_z_pre
+    d_z *= dh
+    d_z *= z
+    d_z *= om
+    np.subtract(1.0, r, out=om)                  # buffer becomes 1-r
+    np.multiply(d_n, nh, out=d_r)                # d_r_pre
+    d_r *= r
+    d_r *= om
+    dgh[..., :h2] = dgx[..., :h2]
+    np.multiply(d_n, r, out=dgh[..., h2:])
+
+
 def _rowstable_matmul(a, b):
     """``a @ b`` computed in the BLAS row-stable regime (M >= 2).
 
@@ -1341,24 +1427,12 @@ def gru_scan(x, h0, w_ih, w_hh, b_ih, b_hh, lengths=None,
     for t in range(t_run):
         h_prev = h_stack[t]
         h_new = h_stack[t + 1]
-        g_act = gact[t] if needs_grad else scratch
         np.matmul(h_prev, w_hh_d, out=gh)
         gh += b_hh_d
-        gt = gx[t]
-        gt[:, :h2] += gh[:, :h2]
-        _sigmoid_into(gt[:, :h2], out=g_act[:, :h2])
-        z = g_act[:, :hidden]
-        r = g_act[:, hidden:h2]
-        nh = gh[:, h2:]                      # h @ W_hh_n + b_hh_n
         if needs_grad:
-            nhs[t] = nh
-        n_pre = gt[:, h2:]
-        np.multiply(r, nh, out=tmp)
-        n_pre += tmp
-        n = np.tanh(n_pre, out=g_act[:, h2:])
-        np.subtract(h_prev, n, out=h_new)    # z*h + (1-z)*n
-        h_new *= z
-        h_new += n
+            nhs[t] = gh[:, h2:]              # h @ W_hh_n + b_hh_n
+        _gru_gates_into(gx[t], gh, h_prev,
+                        gact[t] if needs_grad else scratch, h_new, tmp)
         if lengths is not None and t >= min_len:
             frozen = lengths <= t
             h_new[frozen] = h_prev[frozen]
@@ -1386,33 +1460,10 @@ def gru_scan(x, h0, w_ih, w_hh, b_ih, b_hh, lengths=None,
         for t in range(t_run - 1, -1, -1):
             if return_sequences:
                 dh += grad[:, t]
-            g_act = gact[t]
-            z = g_act[:, :hidden]
-            r = g_act[:, hidden:h2]
-            n = g_act[:, h2:]
-            nh = nhs[t]
-            h_prev = h_stack[t]
+            z = gact[t, :, :hidden]
             dgx_t, dgh_t = dgx[t], dgh[t]
-            d_z = dgx_t[:, :hidden]
-            d_r = dgx_t[:, hidden:h2]
-            d_n = dgx_t[:, h2:]
-            np.subtract(1.0, z, out=om)              # 1 - z
-            np.multiply(n, n, out=d_n)               # d_n_pre
-            np.subtract(1.0, d_n, out=d_n)
-            d_n *= dh
-            d_n *= om
-            np.subtract(h_prev, n, out=d_z)          # d_z_pre
-            d_z *= dh
-            d_z *= z
-            d_z *= om
-            np.subtract(1.0, r, out=om)              # buffer becomes 1-r
-            np.multiply(d_n, nh, out=d_r)            # d_r_pre
-            d_r *= r
-            d_r *= om
-            # h-side gates differ only in the candidate block (scaled by
-            # the reset gate).
-            dgh_t[:, :h2] = dgx_t[:, :h2]
-            np.multiply(d_n, r, out=dgh_t[:, h2:])
+            _gru_gates_backward_into(dh, gact[t], nhs[t], h_stack[t],
+                                     dgx_t, dgh_t, om)
             frozen = None
             if lengths is not None and t >= min_len:
                 frozen = lengths <= t
@@ -1447,6 +1498,125 @@ def gru_scan(x, h0, w_ih, w_hh, b_ih, b_hh, lengths=None,
             b_hh._accumulate(dgh_2d.sum(axis=0), owned=True)
 
     return Tensor._make(out_data, (x, h0, w_ih, w_hh, b_ih, b_hh), backward)
+
+
+def _per_feature_gru_scan_sample(rng):
+    channels, hidden = 3, 2
+
+    def arrays(batch, steps):
+        return (rng.normal(size=(batch, steps, channels)),
+                rng.normal(size=(channels, 1, 3 * hidden)) * 0.5,
+                rng.normal(size=(channels, hidden, 3 * hidden)) * 0.5,
+                rng.normal(size=(channels, 3 * hidden)) * 0.1)
+
+    def build(v, wi, wh, b):
+        return _sqsum(per_feature_gru_scan(v, wi, wh, b))
+
+    return [OpSample(build, *arrays(2, 3)),
+            OpSample(build, *arrays(1, 1))]
+
+
+@differentiable(_per_feature_gru_scan_sample)
+def per_feature_gru_scan(values, w_ih, w_hh, bias):
+    """ConCare's ``C`` single-input GRUs over a whole sequence, one node.
+
+    ``values`` is ``(batch, steps, C)``; feature ``c``'s scalar series
+    drives its own GRU with input weights ``w_ih[c]`` ``(1, 3H)``,
+    recurrent weights ``w_hh[c]`` ``(H, 3H)`` and one bias ``bias[c]``
+    ``(3H,)`` on the input side, from a zero initial state.  Returns the
+    final states as ``(batch, C, H)``.
+
+    The :func:`gru_scan` blueprint with the ``C`` recurrences stacked on
+    a leading axis: the input projection of every step and channel is
+    one broadcast outer product before the loop (with one input per GRU
+    it is elementwise, so it equals the single-step projection of
+    :func:`per_feature_gru_scan_step` exactly), each step runs one
+    batched ``(C, B, H) @ (C, H, 3H)`` GEMM plus the shared gate tail
+    (whose activations overwrite the step's projection slab in place),
+    and the hand-derived backward replays the loop in reverse, then
+    forms each weight gradient with one batched GEMM over ``C``.
+    """
+    values, w_ih = as_tensor(values), as_tensor(w_ih)
+    w_hh, bias = as_tensor(w_hh), as_tensor(bias)
+    if values.data.ndim != 3 or w_hh.data.ndim != 3:
+        raise ValueError(
+            f"per_feature_gru_scan expects (batch, steps, features) values "
+            f"and (features, hidden, 3*hidden) w_hh, got shapes "
+            f"{values.shape} and {w_hh.shape}")
+    batch, steps, channels = values.shape
+    hidden = w_hh.shape[1]
+    h3 = 3 * hidden
+    if w_hh.shape != (channels, hidden, h3) \
+            or w_ih.shape != (channels, 1, h3) \
+            or bias.shape != (channels, h3):
+        raise ValueError(
+            f"per_feature_gru_scan shapes do not line up: values "
+            f"{values.shape}, w_ih {w_ih.shape}, w_hh {w_hh.shape}, "
+            f"bias {bias.shape}")
+
+    # Feature-major (C, T, B, .) planes: each step is the slice [:, t],
+    # and the backward's weight GEMMs batch over C on free reshapes.
+    x_cm = values.data.transpose(2, 1, 0)
+    gx = np.multiply(x_cm[..., None], w_ih.data[:, None])
+    gx += bias.data[:, None, None]
+    dt = gx.dtype
+
+    needs_grad = is_grad_enabled() and any(
+        p.requires_grad for p in (values, w_ih, w_hh, bias))
+    h_stack = np.empty((channels, steps + 1, batch, hidden), dtype=dt)
+    h_stack[:, 0] = 0.0
+    if needs_grad:
+        nhs = np.empty((channels, steps, batch, hidden), dtype=dt)
+    w_hh_d = w_hh.data
+    gh = np.empty((channels, batch, h3), dtype=dt)
+    tmp = np.empty((channels, batch, hidden), dtype=dt)
+    for t in range(steps):
+        h_prev = h_stack[:, t]
+        np.matmul(h_prev, w_hh_d, out=gh)
+        if needs_grad:
+            nhs[:, t] = gh[..., 2 * hidden:]
+        gt = gx[:, t]
+        _gru_gates_into(gt, gh, h_prev, gt, h_stack[:, t + 1], tmp)
+    # A contiguous (C, B, H) state, viewed as (B, C, H): the layout the
+    # streaming state has, so downstream ops see the same strides.
+    out_data = np.ascontiguousarray(h_stack[:, steps]).transpose(1, 0, 2)
+
+    def backward(grad):
+        dh = grad.transpose(1, 0, 2).copy()              # (C, B, H)
+        dgx = np.empty((channels, steps, batch, h3), dtype=dt)
+        dgh = np.empty_like(dgx)
+        w_hh_t = w_hh_d.transpose(0, 2, 1)
+        om = np.empty_like(dh)
+        carry = np.empty_like(dh)
+        for t in range(steps - 1, -1, -1):
+            g_act = gx[:, t]
+            dgh_t = dgh[:, t]
+            _gru_gates_backward_into(dh, g_act, nhs[:, t], h_stack[:, t],
+                                     dgx[:, t], dgh_t, om)
+            if t:
+                np.matmul(dgh_t, w_hh_t, out=carry)
+                np.multiply(dh, g_act[..., :hidden], out=om)
+                carry += om
+                dh, carry = carry, dh
+        dgx_2d = dgx.reshape(channels, steps * batch, h3)
+        if values.requires_grad:
+            dx = np.matmul(dgx_2d, w_ih.data.transpose(0, 2, 1))
+            values._accumulate(np.ascontiguousarray(
+                dx.reshape(channels, steps, batch).transpose(2, 1, 0)),
+                owned=True)
+        if w_ih.requires_grad:
+            x_rows = x_cm.reshape(channels, 1, steps * batch)
+            w_ih._accumulate(np.matmul(x_rows, dgx_2d), owned=True)
+        if w_hh.requires_grad:
+            h_prev_2d = h_stack[:, :steps].reshape(
+                channels, steps * batch, hidden)
+            w_hh._accumulate(np.matmul(
+                h_prev_2d.transpose(0, 2, 1),
+                dgh.reshape(channels, steps * batch, h3)), owned=True)
+        if bias.requires_grad:
+            bias._accumulate(dgx_2d.sum(axis=1), owned=True)
+
+    return Tensor._make(out_data, (values, w_ih, w_hh, bias), backward)
 
 
 def _lstm_scan_sample(rng):
@@ -1777,25 +1947,14 @@ def grud_scan(values, mask, deltas, h0, input_decay, hidden_decay_w,
     for t in range(t_run):
         h_prev = h_stack[t]
         h_new = h_stack[t + 1]
-        g_act = gact[t] if needs_grad else scratch
         np.multiply(gamma_h[t], h_prev, out=heff)
         np.matmul(heff, w_hh_d, out=gh)
         gh += b_hh_d
-        gt = gx[t]
-        gt[:, :h2] += gh[:, :h2]
-        _sigmoid_into(gt[:, :h2], out=g_act[:, :h2])
-        z = g_act[:, :hidden]
-        r = g_act[:, hidden:h2]
-        nh = gh[:, h2:]
         if needs_grad:
-            nhs[t] = nh
-        n_pre = gt[:, h2:]
-        np.multiply(r, nh, out=tmp)
-        n_pre += tmp
-        n = np.tanh(n_pre, out=g_act[:, h2:])
-        np.subtract(heff, n, out=h_new)          # z*γ_h h + (1-z)*n
-        h_new *= z
-        h_new += n
+            nhs[t] = gh[:, h2:]
+        # z*γ_h h + (1-z)*n: the gate tail over the decayed state.
+        _gru_gates_into(gx[t], gh, heff,
+                        gact[t] if needs_grad else scratch, h_new, tmp)
         if lengths is not None and t >= min_len:
             frozen = lengths <= t
             h_new[frozen] = h_prev[frozen]
@@ -1823,32 +1982,12 @@ def grud_scan(values, mask, deltas, h0, input_decay, hidden_decay_w,
         for t in range(t_run - 1, -1, -1):
             if return_sequences:
                 dh += grad[:, t]
-            g_act = gact[t]
-            z = g_act[:, :hidden]
-            r = g_act[:, hidden:h2]
-            n = g_act[:, h2:]
-            nh = nhs[t]
+            z = gact[t, :, :hidden]
             h_prev = h_stack[t]
             np.multiply(gamma_h[t], h_prev, out=heff_t)
             dgx_t, dgh_t = dgx[t], dgh[t]
-            d_z = dgx_t[:, :hidden]
-            d_r = dgx_t[:, hidden:h2]
-            d_n = dgx_t[:, h2:]
-            np.subtract(1.0, z, out=om)              # 1 - z
-            np.multiply(n, n, out=d_n)               # d_n_pre
-            np.subtract(1.0, d_n, out=d_n)
-            d_n *= dh
-            d_n *= om
-            np.subtract(heff_t, n, out=d_z)          # d_z_pre
-            d_z *= dh
-            d_z *= z
-            d_z *= om
-            np.subtract(1.0, r, out=om)              # buffer becomes 1-r
-            np.multiply(d_n, nh, out=d_r)            # d_r_pre
-            d_r *= r
-            d_r *= om
-            dgh_t[:, :h2] = dgx_t[:, :h2]
-            np.multiply(d_n, r, out=dgh_t[:, h2:])
+            _gru_gates_backward_into(dh, gact[t], nhs[t], heff_t,
+                                     dgx_t, dgh_t, om)
             frozen = None
             if lengths is not None and t >= min_len:
                 frozen = lengths <= t
@@ -2192,25 +2331,30 @@ def gru_scan_step(x_t, h, w_ih, w_hh, b_ih, b_hh):
     per batch width, i.e. a streaming session of ``n`` admissions
     matches a full forward over those same ``n`` rows.
     """
-    hidden = h.shape[-1]
-    h2 = 2 * hidden
     gh = np.matmul(h, w_hh)
     gh += b_hh
     gt = _rowstable_matmul(x_t, w_ih)
     gt += b_ih
-    gt[:, :h2] += gh[:, :h2]
-    g_act = np.empty_like(gt)
-    _sigmoid_into(gt[:, :h2], out=g_act[:, :h2])
-    z = g_act[:, :hidden]
-    r = g_act[:, hidden:h2]
-    nh = gh[:, h2:]                          # h @ W_hh_n + b_hh_n
-    n_pre = gt[:, h2:]
-    n_pre += np.multiply(r, nh)
-    n = np.tanh(n_pre, out=g_act[:, h2:])
-    h_new = np.subtract(h, n)                # z*h + (1-z)*n
-    h_new *= z
-    h_new += n
-    return h_new
+    return _gru_gates_into(gt, gh, h, np.empty_like(gt), np.empty_like(h),
+                           np.empty_like(h))
+
+
+def per_feature_gru_scan_step(x_t, h, w_ih, w_hh, bias):
+    """One inference-only step of :func:`per_feature_gru_scan`.
+
+    Plain arrays: ``x_t`` is ``(batch, C)``, ``h`` the stacked state
+    ``(C, batch, H)`` (zeros before the first step); returns the new
+    state.  The single-step projection is elementwise like the scan's
+    hoisted one and the gate tail is the scan's, so feeding a sequence
+    one step at a time reproduces the scan's state bit for bit at every
+    prefix (the streaming contract, per batch width; see
+    :func:`gru_scan_step`).
+    """
+    gt = np.multiply(x_t.T[..., None], w_ih)
+    gt += bias[:, None]
+    gh = np.matmul(h, w_hh)
+    return _gru_gates_into(gt, gh, h, gt, np.empty_like(h),
+                           np.empty_like(h))
 
 
 def lstm_scan_step(x_t, h, c, w_ih, w_hh, bias):
@@ -2244,8 +2388,6 @@ def grud_scan_step(values_t, mask_t, deltas_t, h, input_decay,
     hidden state.
     """
     channels = values_t.shape[-1]
-    hidden = h.shape[-1]
-    h2 = 2 * hidden
     gamma_x = deltas_t * input_decay
     np.maximum(gamma_x, 0.0, out=gamma_x)
     np.negative(gamma_x, out=gamma_x)
@@ -2267,19 +2409,8 @@ def grud_scan_step(values_t, mask_t, deltas_t, h, input_decay,
     gh += b_hh
     gt = _rowstable_matmul(xm, w_ih)
     gt += b_ih
-    gt[:, :h2] += gh[:, :h2]
-    g_act = np.empty_like(gt)
-    _sigmoid_into(gt[:, :h2], out=g_act[:, :h2])
-    z = g_act[:, :hidden]
-    r = g_act[:, hidden:h2]
-    nh = gh[:, h2:]
-    n_pre = gt[:, h2:]
-    n_pre += np.multiply(r, nh)
-    n = np.tanh(n_pre, out=g_act[:, h2:])
-    h_new = np.subtract(heff, n)                 # z*γ_h h + (1-z)*n
-    h_new *= z
-    h_new += n
-    return h_new
+    return _gru_gates_into(gt, gh, heff, np.empty_like(gt),
+                           np.empty_like(heff), np.empty_like(heff))
 
 
 def stagenet_scan_step(x_t, h, c, w_ih, w_hh, bias, stage_weight,

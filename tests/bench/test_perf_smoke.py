@@ -31,14 +31,15 @@ def floor_spec():
 
 
 def test_floor_file_is_well_formed(floor_spec):
-    assert floor_spec["schema"] == "repro.bench/perf-floor-v5"
+    assert floor_spec["schema"] == "repro.bench/perf-floor-v6"
     assert floor_spec["benchmark"]["fused_scan"] is True
     assert floor_spec["benchmark"]["bucket_by_length"] is True
     assert set(floor_spec["dtypes"]) == {"float32", "float64"}
     for entry in floor_spec["dtypes"].values():
         assert 0 < entry["floor_steps_per_sec"] \
             < entry["measured_steps_per_sec"]
-    assert set(floor_spec["scan_models"]) == {"GRU-D", "StageNet"}
+    assert set(floor_spec["scan_models"]) == {"GRU-D", "StageNet",
+                                              "ConCare"}
     for lanes in floor_spec["scan_models"].values():
         assert set(lanes) == {"float32", "float64"}
         for entry in lanes.values():
@@ -69,13 +70,13 @@ def test_training_throughput_above_floor(floor_spec, dtype):
         f"{FLOOR_PATH.name}; see docs/PERFORMANCE.md.")
 
 
-@pytest.mark.parametrize("model_name", ["GRU-D", "StageNet"])
+@pytest.mark.parametrize("model_name", ["GRU-D", "StageNet", "ConCare"])
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_scan_model_throughput_above_floor(floor_spec, model_name, dtype):
-    """GRU-D/StageNet route through their sequence-fused scans by default;
+    """GRU-D/StageNet/ConCare route through their sequence-fused scans;
     dropping below the floor means a scan routing silently regressed to
-    the per-step path (per-step float32 throughput sits under these
-    floors — see BENCH_9.json)."""
+    a per-step path (per-step float32 throughput sits under these
+    floors — see BENCH_9.json and the v6 note in the floor file)."""
     spec = floor_spec["benchmark"]
     result = benchmark_training(
         model_name=model_name, task=spec["task"], epochs=spec["epochs"],

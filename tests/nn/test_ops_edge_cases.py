@@ -34,6 +34,30 @@ class TestShapesAndErrors:
         mask = np.array([True, False, True, False, True, False])
         assert np.array_equal(x[mask].data, [0.0, 2.0, 4.0])
 
+    @pytest.mark.parametrize("index", [
+        (slice(1, None), slice(None, 2)),
+        (slice(None), slice(None, None, -2)),
+        (Ellipsis, 1),
+        (0, None, slice(1, 3)),
+        2,
+    ], ids=["slices", "negative-step", "ellipsis-int", "int-newaxis", "int"])
+    def test_getitem_basic_index_backward_matches_add_at(self, index):
+        """The assignment fast path for basic indices writes exactly the
+        scatter-add result."""
+        rng = np.random.default_rng(0)
+        a = nn.Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+        out = ops.getitem(a, index)
+        grad = rng.normal(size=out.shape)
+        (out * nn.Tensor(grad)).sum().backward()
+        expected = np.zeros_like(a.data)
+        np.add.at(expected, index, grad)
+        np.testing.assert_array_equal(a.grad, expected)
+
+    def test_getitem_repeated_advanced_index_accumulates(self):
+        a = nn.Tensor(np.zeros((3, 4)), requires_grad=True)
+        ops.getitem(a, np.array([0, 2, 2])).sum().backward()
+        np.testing.assert_array_equal(a.grad[:, 0], [1.0, 0.0, 2.0])
+
     def test_embedding_lookup_duplicate_indices_accumulate(self):
         table = nn.Tensor(np.zeros((3, 2)), requires_grad=True)
         idx = np.array([1, 1, 1])

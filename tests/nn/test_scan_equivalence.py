@@ -8,18 +8,21 @@ forward values and every gradient (input, initial state, parameters)
 within 1e-10 of the per-step path under float64 and 1e-4 under float32,
 across batch 1, non-contiguous inputs, the T=1 edge case, and ragged
 lengths with frozen-row masking.  Mirrors the PR 2 fused-equivalence
-pattern (tests/nn/test_fused_equivalence.py).
+pattern (tests/nn/test_fused_equivalence.py).  ConCare's
+:func:`repro.nn.ops.per_feature_gru_scan` has no step path left in the
+library; it is held to the step-unrolled oracle in tests/nn/oracles.py.
 """
 
 import numpy as np
 import pytest
 
-from repro.baselines import GRUD, StageNet
+from repro.baselines import GRUD, PerFeatureGRU, StageNet
 from repro.nn import Tensor, ops
 from repro.nn.dtype import autocast
 from repro.nn.gradcheck import gradcheck
 from repro.nn.layers import GRU, LSTM
 from repro.nn.tensor import no_grad
+from tests.nn.oracles import per_feature_gru_reference
 
 _TOLS = {np.dtype(np.float64): 1e-10, np.dtype(np.float32): 1e-4}
 
@@ -236,6 +239,85 @@ class TestStageNetScanEquivalence:
         _assert_model_paths_agree(model, _Batch(rng, batch, steps, 3), TOL)
 
 
+def _per_feature_encoder(channels, hidden, seed):
+    """A ConCare encoder with a non-zero input bias (the default is
+    zeros, which would leave the bias path unexercised)."""
+    rng = np.random.default_rng(seed)
+    encoder = PerFeatureGRU(channels, hidden, rng)
+    encoder.bias.data[...] = rng.normal(size=encoder.bias.shape) * 0.3
+    return encoder
+
+
+def _run_per_feature(fn, encoder, x):
+    """Forward + backward of sum(out^2) through ``fn(values, w_ih, w_hh,
+    bias)``; returns (out, grads by name)."""
+    encoder.zero_grad()
+    xt = Tensor(x, requires_grad=True)
+    out = fn(xt, encoder.w_ih, encoder.w_hh, encoder.bias)
+    (out * out).sum().backward()
+    grads = {"values": xt.grad.copy()}
+    grads.update({name: p.grad.copy()
+                  for name, p in encoder.named_parameters()})
+    return out.data.copy(), grads
+
+
+class TestPerFeatureGRUScanEquivalence:
+    """ConCare's per-feature scan against the step-unrolled composition
+    it replaced (tests/nn/oracles.py): the final states and the gradient
+    of the input and of every weight within tolerance."""
+
+    def _assert_agrees(self, encoder, x, tol):
+        out_scan, grads_scan = _run_per_feature(
+            ops.per_feature_gru_scan, encoder, x)
+        out_ref, grads_ref = _run_per_feature(
+            per_feature_gru_reference, encoder, x)
+        assert out_scan.shape == out_ref.shape
+        assert _max_diff(out_scan, out_ref) < tol
+        assert grads_scan.keys() == {"values", "w_ih", "w_hh", "bias"}
+        for name in grads_scan:
+            assert _max_diff(grads_scan[name], grads_ref[name]) < tol, name
+
+    @pytest.mark.parametrize("batch,steps", [(1, 6), (3, 6), (4, 1)])
+    def test_matches_reference_path(self, batch, steps, TOL):
+        rng = np.random.default_rng(batch * 10 + steps + 200)
+        encoder = _per_feature_encoder(5, 4, batch)
+        self._assert_agrees(encoder, rng.normal(size=(batch, steps, 5)),
+                            TOL)
+
+    def test_non_contiguous_input(self, TOL):
+        rng = np.random.default_rng(201)
+        encoder = _per_feature_encoder(5, 4, 7)
+        x = rng.normal(size=(2, 12, 10))[:, ::2, ::2]
+        assert not x.flags["C_CONTIGUOUS"]
+        self._assert_agrees(encoder, x, TOL)
+
+    def test_no_grad_path_matches_grad_path(self):
+        rng = np.random.default_rng(202)
+        encoder = _per_feature_encoder(4, 3, 8)
+        x = rng.normal(size=(3, 5, 4))
+        with no_grad():
+            lean = encoder(Tensor(x)).data.copy()
+        full = encoder(Tensor(x, requires_grad=True)).data
+        np.testing.assert_array_equal(lean, full)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_streamed_steps_reproduce_every_prefix(self, batch,
+                                                   dtype_policy):
+        """The array step kernel fed one timestep at a time reaches the
+        scan's state bit for bit after every prefix."""
+        rng = np.random.default_rng(203 + batch)
+        encoder = _per_feature_encoder(4, 3, 9)
+        x = rng.normal(size=(batch, 6, 4)).astype(dtype_policy)
+        params = [p.data for p in (encoder.w_ih, encoder.w_hh, encoder.bias)]
+        h = encoder.initial_state(batch).data
+        for t in range(1, x.shape[1] + 1):
+            h = ops.per_feature_gru_scan_step(x[:, t - 1], h, *params)
+            assert h.dtype == dtype_policy
+            with no_grad():
+                full = ops.per_feature_gru_scan(x[:, :t], *params).data
+            np.testing.assert_array_equal(h.transpose(1, 0, 2), full)
+
+
 class TestScanOpValidation:
     def test_gru_scan_rejects_2d_input(self):
         with pytest.raises(ValueError, match="gru_scan expects"):
@@ -271,6 +353,18 @@ class TestScanOpValidation:
                           np.zeros(5), np.zeros((5, 4)), np.zeros(4),
                           np.zeros((10, 12)), np.zeros((4, 12)),
                           np.zeros(12), np.zeros(12))
+
+    @pytest.mark.parametrize("w_hh_shape,bias_shape", [
+        ((3, 4, 9), (3, 12)),      # w_hh not (H, 3H)
+        ((2, 4, 12), (2, 12)),     # two GRUs for three features
+    ], ids=["mismatched-w_hh", "feature-count"])
+    def test_per_feature_gru_scan_rejects_mismatched_shapes(
+            self, w_hh_shape, bias_shape):
+        with pytest.raises(ValueError, match="per_feature_gru_scan shapes"):
+            ops.per_feature_gru_scan(np.zeros((2, 5, 3)),
+                                     np.zeros((w_hh_shape[0], 1, 12)),
+                                     np.zeros(w_hh_shape),
+                                     np.zeros(bias_shape))
 
     def test_stagenet_scan_rejects_mismatched_stage_gate(self):
         with pytest.raises(ValueError, match="stagenet_scan shapes"):
@@ -329,8 +423,9 @@ class TestScanRegistryCoverage:
     gradcheck itself forces float64 per the PR 5 contract even when
     entered from the float32 lane)."""
 
-    @pytest.mark.parametrize("name", ["gru_scan", "lstm_scan",
-                                      "grud_scan", "stagenet_scan"])
+    @pytest.mark.parametrize("name", ["gru_scan", "per_feature_gru_scan",
+                                      "lstm_scan", "grud_scan",
+                                      "stagenet_scan"])
     def test_registered_with_sample_factory(self, name):
         registry = ops.registered_ops()
         assert name in registry
