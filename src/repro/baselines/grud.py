@@ -11,10 +11,11 @@ where ``m`` is the observation mask, ``x'`` the last observed value, and
 ``x̄`` the empirical mean (zero after standardization).  The GRU then
 consumes ``[x̂_t ; m_t]``.
 
-By default the whole sequence runs through the sequence-fused
+The whole sequence runs through the sequence-fused
 :func:`repro.nn.ops.grud_scan` kernel (one graph node, every decay and
-gate projection hoisted into pre-loop GEMMs, one hand-derived backward);
-set ``fused_scan=False`` for the step-unrolled reference path.
+gate projection hoisted into pre-loop GEMMs, one hand-derived backward).
+``tests/nn/oracles.py::grud_reference`` keeps the step-unrolled
+composition the kernel is held to.
 """
 
 from __future__ import annotations
@@ -39,11 +40,10 @@ class GRUD(Module, InferenceMixin):
     observation mask, and the per-feature observation deltas.
     """
 
-    def __init__(self, num_features, rng, hidden_size=64, fused_scan=True):
+    def __init__(self, num_features, rng, hidden_size=64):
         super().__init__()
         self.num_features = num_features
         self.hidden_size = hidden_size
-        self.fused_scan = fused_scan
         self.input_decay = Parameter(np.full(num_features, 0.1))
         self.hidden_decay_w = Parameter(
             nn.init.glorot_uniform((num_features, hidden_size), rng))
@@ -54,37 +54,13 @@ class GRUD(Module, InferenceMixin):
 
     def forward_batch(self, batch):
         values = nn.Tensor(batch.values)                # LOCF-imputed x'
-        deltas = nn.Tensor(batch.deltas)
-        batch_size, steps, _ = values.shape
-        h0 = nn.Tensor(np.zeros((batch_size, self.hidden_size)))
-        if self.fused_scan and self.cell.fused:
-            cell = self.cell
-            h = ops.grud_scan(values, batch.mask, deltas, h0,
-                              self.input_decay, self.hidden_decay_w,
-                              self.hidden_decay_b, cell.w_ih, cell.w_hh,
-                              cell.b_ih, cell.b_hh)
-        else:
-            h = self._reference_forward(values, nn.Tensor(batch.mask),
-                                        deltas, h0, steps)
+        h0 = nn.Tensor(np.zeros((values.shape[0], self.hidden_size)))
+        cell = self.cell
+        h = ops.grud_scan(values, batch.mask, nn.Tensor(batch.deltas), h0,
+                          self.input_decay, self.hidden_decay_w,
+                          self.hidden_decay_b, cell.w_ih, cell.w_hh,
+                          cell.b_ih, cell.b_hh)
         return (ops.matmul(h, self.weight) + self.bias).reshape(-1)
-
-    def _reference_forward(self, values, mask, deltas, h, steps):
-        """The step-unrolled composition (ground truth for the scan)."""
-        value_steps = ops.unbind_time(values)
-        delta_steps = ops.unbind_time(deltas)
-        mask_steps = ops.unbind_time(mask)
-        for t in range(steps):
-            delta_t = delta_steps[t]
-            v_t = value_steps[t]
-            m_t = mask_steps[t]
-            # Input decay toward the (zero) global mean.
-            gamma_x = ops.exp(-ops.relu(delta_t * self.input_decay))
-            x_hat = m_t * v_t + (1.0 - m_t) * gamma_x * v_t
-            # Hidden-state decay.
-            gamma_h = ops.exp(-ops.relu(
-                ops.matmul(delta_t, self.hidden_decay_w) + self.hidden_decay_b))
-            h = self.cell(ops.concat([x_hat, m_t], axis=-1), gamma_h * h)
-        return h
 
     # -- streaming inference (serve tier) ------------------------------
     stream_native = True

@@ -10,11 +10,11 @@ recurrence, convolutional progression extraction, re-calibration); the
 time-interval conditioning is simplified to hourly steps since the
 substrate emits regular sequences.
 
-By default the recurrence runs through the sequence-fused
+The recurrence runs through the sequence-fused
 :func:`repro.nn.ops.stagenet_scan` kernel (gate and stage-gate input
 projections hoisted into pre-loop GEMMs, one hand-derived backward for
-the whole sequence); set ``fused_scan=False`` for the step-unrolled
-reference path.
+the whole sequence).  ``tests/nn/oracles.py::stagenet_reference`` keeps
+the step-unrolled composition the kernel is held to.
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ class StageNet(Module, InferenceMixin):
     """
 
     def __init__(self, num_features, rng, hidden_size=72, conv_channels=72,
-                 kernel_size=5, fused_scan=True):
+                 kernel_size=5):
         super().__init__()
         self.hidden_size = hidden_size
-        self.fused_scan = fused_scan
         self.cell = LSTMCell(num_features, hidden_size, rng)
         self.stage_gate = Dense(hidden_size + num_features, 1, rng,
                                 activation="sigmoid")
@@ -54,26 +53,14 @@ class StageNet(Module, InferenceMixin):
 
     def forward_batch(self, batch):
         values = nn.Tensor(batch.values)
-        batch_size, steps, _ = values.shape
+        batch_size = values.shape[0]
         h = nn.Tensor(np.zeros((batch_size, self.hidden_size)))
         c = nn.Tensor(np.zeros((batch_size, self.hidden_size)))
-        if self.fused_scan:
-            cell = self.cell
-            trajectory = ops.stagenet_scan(
-                values, h, c, cell.w_ih, cell.w_hh, cell.bias,
-                self.stage_gate.weight, self.stage_gate.bias)
-            h_last = trajectory[:, -1, :]
-        else:
-            states = []
-            for x_t in ops.unbind_time(values):
-                h, c = self.cell(x_t, (h, c))
-                # Stage progression gate: how much the stage advanced.
-                stage = self.stage_gate(ops.concat([h, x_t], axis=-1))
-                c = stage * c                   # re-calibrate cell memory
-                states.append(h)
-            trajectory = ops.stack(states, axis=1)              # (B,T,H)
-            h_last = h
-        return self._head(trajectory, h_last)
+        cell = self.cell
+        trajectory = ops.stagenet_scan(
+            values, h, c, cell.w_ih, cell.w_hh, cell.bias,
+            self.stage_gate.weight, self.stage_gate.bias)
+        return self._head(trajectory, trajectory[:, -1, :])
 
     def _head(self, trajectory, h_last):
         """Conv + attention pool over the hidden trajectory, then fuse

@@ -23,13 +23,12 @@ import numpy as np
 from ..baselines import build_model
 from ..data import (NUM_FEATURES, ShardedDataset, SyntheticEMRGenerator,
                     train_val_test_split)
-from ..nn.layers import GRUCell
 from ..train import Trainer
 from .profiler import profile
 
 __all__ = ["benchmark_capture", "benchmark_cohort", "benchmark_streaming",
            "benchmark_training", "benchmark_sharded_training",
-           "max_rss_bytes", "set_fused", "set_fused_scan"]
+           "max_rss_bytes"]
 
 
 def max_rss_bytes():
@@ -39,30 +38,6 @@ def max_rss_bytes():
     process-lifetime high-water mark, so memory-ceiling measurements
     must run in a fresh subprocess (see docs/DATA.md)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-
-
-def set_fused(model, fused):
-    """Switch every :class:`GRUCell` in ``model`` between the fused
-    kernel and the unfused reference composition; returns the number of
-    cells flipped."""
-    flipped = 0
-    for module in model.modules():
-        if isinstance(module, GRUCell):
-            module.fused = bool(fused)
-            flipped += 1
-    return flipped
-
-
-def set_fused_scan(model, fused_scan):
-    """Switch every sequence layer carrying a ``fused_scan`` flag
-    (GRU/LSTM) between the sequence-fused scan kernel and the
-    step-unrolled path; returns the number of layers flipped."""
-    flipped = 0
-    for module in model.modules():
-        if hasattr(module, "fused_scan"):
-            module.fused_scan = bool(fused_scan)
-            flipped += 1
-    return flipped
 
 
 def benchmark_cohort(num_admissions=64, seed=0):
@@ -76,7 +51,7 @@ def benchmark_cohort(num_admissions=64, seed=0):
 
 def benchmark_training(model_name="GRU", task="mortality", epochs=2,
                        num_admissions=64, batch_size=32, seed=0,
-                       fused=True, fused_scan=True, bucket_by_length=False,
+                       bucket_by_length=False,
                        with_profiler=True, run_dir=None, dtype=None):
     """Train ``model_name`` for ``epochs`` epochs and measure throughput.
 
@@ -87,11 +62,9 @@ def benchmark_training(model_name="GRU", task="mortality", epochs=2,
     ``dtype`` scopes the precision policy (``"float32"``/``"float64"``)
     around model construction *and* training via
     :class:`repro.nn.dtype.autocast`; default is the ambient policy.
-    ``fused_scan`` toggles the sequence-fused scan kernels
-    (:func:`set_fused_scan`) and ``bucket_by_length`` enables
-    length-bucketed batching — the latter also flips the model's
-    ``mask_aware`` flag (when it has one) so the scan actually stops at
-    each bucket's maximum length.
+    ``bucket_by_length`` enables length-bucketed batching and also flips
+    the model's ``mask_aware`` flag (when it has one) so the scan
+    actually stops at each bucket's maximum length.
 
     Returns a dict with:
 
@@ -116,8 +89,6 @@ def benchmark_training(model_name="GRU", task="mortality", epochs=2,
         splits = benchmark_cohort(num_admissions=num_admissions, seed=seed)
         model = build_model(model_name, NUM_FEATURES,
                             np.random.default_rng(seed))
-        flipped = set_fused(model, fused)
-        scan_layers = set_fused_scan(model, fused_scan)
         if bucket_by_length and hasattr(model, "mask_aware"):
             # Bucketing only pays off when the model reads true lengths
             # from the mask so the scan stops at the bucket maximum.
@@ -142,13 +113,9 @@ def benchmark_training(model_name="GRU", task="mortality", epochs=2,
         "num_admissions": num_admissions,
         "batch_size": batch_size,
         "seed": seed,
-        "fused": bool(fused),
-        "fused_scan": bool(fused_scan),
         "bucket_by_length": bool(bucket_by_length),
         "mask_aware": bool(getattr(model, "mask_aware", False)),
         "dtype": np.dtype(resolved).name,
-        "gru_cells": flipped,
-        "scan_layers": scan_layers,
         "num_parameters": model.num_parameters(),
     }
     if profiler is not None:
@@ -367,8 +334,7 @@ def benchmark_streaming(model_name="GRU", num_admissions=64, seed=0,
 def benchmark_sharded_training(shards_dir, model_name="GRU",
                                task="mortality", epochs=1, batch_size=32,
                                seed=0, val_shards=1, bucket_by_length=True,
-                               fused=True, fused_scan=True, dtype=None,
-                               run_dir=None):
+                               dtype=None, run_dir=None):
     """Train one model out-of-core from a sharded store and measure
     throughput *and* peak memory.
 
@@ -397,8 +363,6 @@ def benchmark_sharded_training(shards_dir, model_name="GRU",
 
         model = build_model(model_name, store.num_features,
                             np.random.default_rng(seed))
-        flipped = set_fused(model, fused)
-        scan_layers = set_fused_scan(model, fused_scan)
         if bucket_by_length and hasattr(model, "mask_aware"):
             model.mask_aware = True
         trainer = Trainer(model, task, batch_size=batch_size,
@@ -424,13 +388,9 @@ def benchmark_sharded_training(shards_dir, model_name="GRU",
         "val_shards": int(val_shards),
         "batch_size": batch_size,
         "seed": seed,
-        "fused": bool(fused),
-        "fused_scan": bool(fused_scan),
         "bucket_by_length": bool(bucket_by_length),
         "mask_aware": bool(getattr(model, "mask_aware", False)),
         "dtype": np.dtype(resolved).name,
-        "gru_cells": flipped,
-        "scan_layers": scan_layers,
         "num_parameters": model.num_parameters(),
     }
     return {

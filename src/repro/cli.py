@@ -160,12 +160,6 @@ def build_parser():
                             "--capture lane")
     bench.add_argument("--repeats", type=int, default=30,
                        help="timed iterations per --capture lane")
-    bench.add_argument("--unfused", action="store_true",
-                       help="run the unfused reference GRU kernels "
-                       "(baseline for before/after comparisons)")
-    bench.add_argument("--no-scan", action="store_true",
-                       help="disable the sequence-fused scan kernels and "
-                       "run the per-step path (the PR 5 configuration)")
     bench.add_argument("--bucket", action="store_true",
                        help="enable length-bucketed batching (also flips "
                        "the model mask-aware so the scan stops at each "
@@ -457,17 +451,13 @@ def _cmd_bench(args, out):
     result = benchmark_training(
         model_name=args.model, task=args.task, epochs=args.epochs,
         num_admissions=args.admissions, batch_size=args.batch_size,
-        seed=args.seed, fused=not args.unfused,
-        fused_scan=not args.no_scan, bucket_by_length=args.bucket,
-        dtype=args.dtype)
+        seed=args.seed, bucket_by_length=args.bucket, dtype=args.dtype)
     profiler = result["profiler"]
     config = result["config"]
-    kernel = "unfused reference" if args.unfused else (
-        "per-step fused" if args.no_scan else "sequence-fused scan")
     batching = "bucketed" if args.bucket else "padded"
     out.write(f"{args.model} on synthetic/{args.task}: "
               f"{config['epochs']} epochs, batch {config['batch_size']} "
-              f"({batching}), {kernel} kernels, {config['dtype']}\n")
+              f"({batching}), {config['dtype']}\n")
     out.write(f"  params        : {config['num_parameters']}\n")
     out.write(f"  sec/batch     : {result['seconds_per_batch']:.4f}\n")
     out.write(f"  steps/sec     : {result['steps_per_sec']:.2f}\n")
@@ -590,7 +580,6 @@ def _cmd_bench_shards(args, out):
         shards_dir=args.shards, model_name=args.model, task=args.task,
         epochs=args.epochs, batch_size=args.batch_size, seed=args.seed,
         val_shards=args.val_shards, bucket_by_length=args.bucket,
-        fused=not args.unfused, fused_scan=not args.no_scan,
         dtype=args.dtype)
     config = result["config"]
     out.write(f"{args.model} on {args.shards}/{args.task}: "

@@ -18,7 +18,7 @@ no per-op Tensor boxing:
   that mirror the op's eager forward ufunc-for-ufunc, so replayed
   outputs are **bit-identical** to an eager forward on the same batch;
 * ops that returned views (``reshape``, ``transpose``, ``getitem``
-  slices, ``unbind_time`` …) need no thunk at all — the view objects
+  and ``split`` slices …) need no thunk at all — the view objects
   captured at trace time stay live over the mutated base buffers;
 * composite or fused ops with no hand kernel (``var``, ``gru_scan``,
   ``lstm_scan`` …) fall back to re-running their eager forward on the

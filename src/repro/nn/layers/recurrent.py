@@ -1,13 +1,13 @@
 """Recurrent layers: GRU, LSTM, and bidirectional wrappers.
 
 Sequences are represented as tensors of shape ``(batch, time, features)``.
-By default GRU/LSTM run through the sequence-fused scan kernels
+GRU/LSTM run through the sequence-fused scan kernels
 (:func:`repro.nn.ops.gru_scan` / :func:`repro.nn.ops.lstm_scan`): one
 graph node per sequence with a hand-derived backward, instead of one
-node (or node chain) per timestep.  Set ``fused_scan=False`` to fall
-back to the step-unrolled reference path, which the autodiff tape
-handles naturally; ``tests/nn/test_scan_equivalence.py`` pins the two
-paths together in both dtype planes.
+node chain per timestep.  The cells are the single-step op-by-op
+compositions; ``tests/nn/test_scan_equivalence.py`` holds each scan to
+a step-unrolled loop over its cell (``tests/nn/oracles.py``) in both
+dtype planes.
 """
 
 from __future__ import annotations
@@ -25,21 +25,14 @@ __all__ = ["GRUCell", "GRU", "LSTMCell", "LSTM", "BiGRU"]
 class GRUCell(Module):
     """Single-step gated recurrent unit (Cho et al., 2014).
 
-    Gate layout in the fused kernels is ``[update z | reset r | candidate n]``.
-
-    By default each step runs through the fused
-    :func:`repro.nn.ops.gru_step` kernel — one graph node with a single
-    hand-derived backward instead of the ~20-node unfused composition.
-    Pass ``fused=False`` (or flip the attribute) to fall back to the
-    reference composition; ``tests/nn/test_fused_equivalence.py`` pins
-    the two paths together to 1e-10 in both forward and backward.
+    Gate layout is ``[update z | reset r | candidate n]``, the same as
+    the scan kernels that :class:`GRU` runs over these weights.
     """
 
-    def __init__(self, input_size, hidden_size, rng, fused=True):
+    def __init__(self, input_size, hidden_size, rng):
         super().__init__()
         self.input_size = input_size
         self.hidden_size = hidden_size
-        self.fused = fused
         self.w_ih = Parameter(init.glorot_uniform((input_size, 3 * hidden_size), rng))
         self.w_hh = Parameter(init.orthogonal((hidden_size, 3 * hidden_size), rng))
         self.b_ih = Parameter(np.zeros(3 * hidden_size))
@@ -47,13 +40,6 @@ class GRUCell(Module):
 
     def forward(self, x, h):
         """Advance one step: ``x`` is (batch, input), ``h`` is (batch, hidden)."""
-        if self.fused:
-            return ops.gru_step(x, h, self.w_ih, self.w_hh,
-                                self.b_ih, self.b_hh)
-        return self.reference_step(x, h)
-
-    def reference_step(self, x, h):
-        """The unfused op-by-op composition (ground truth for the kernel)."""
         gates_x = ops.matmul(x, self.w_ih) + self.b_ih
         gates_h = ops.matmul(h, self.w_hh) + self.b_hh
         zx, rx, nx = ops.split(gates_x, 3, axis=-1)
@@ -64,19 +50,6 @@ class GRUCell(Module):
         return update * h + (1.0 - update) * candidate
 
 
-def _step_keep_masks(lengths, steps, batch):
-    """Per-step ``(batch, 1)`` keep-masks for the step-unrolled paths.
-
-    ``None`` when no lengths are given; otherwise ``masks[t]`` is True
-    for rows still active at step ``t`` — frozen rows carry their state
-    unchanged, matching the scan kernels' semantics.
-    """
-    if lengths is None:
-        return None
-    lengths = np.asarray(lengths, dtype=np.int64).reshape(batch, 1)
-    return [lengths > t for t in range(steps)]
-
-
 class GRU(Module):
     """GRU over a full sequence, returning all hidden states.
 
@@ -85,44 +58,26 @@ class GRU(Module):
     return_sequences:
         When true (default), :meth:`forward` returns a (batch, time, hidden)
         tensor; otherwise only the final state (batch, hidden).
-    fused_scan:
-        When true (default), the whole sequence runs through
-        :func:`repro.nn.ops.gru_scan` — one graph node with a single
-        sequence-level backward.  Set false (or ``cell.fused = False``,
-        which implies the step path) for the step-unrolled reference.
 
-    :meth:`forward` accepts optional per-row ``lengths``; rows freeze at
-    their true length on both paths (scan: mask-aware early stop; steps:
-    per-step ``where``).
+    The whole sequence runs through :func:`repro.nn.ops.gru_scan` — one
+    graph node with a single sequence-level backward.  :meth:`forward`
+    accepts optional per-row ``lengths``; rows freeze at their true
+    length (the scan stops early and carries their state unchanged).
     """
 
-    def __init__(self, input_size, hidden_size, rng, return_sequences=True,
-                 fused_scan=True):
+    def __init__(self, input_size, hidden_size, rng, return_sequences=True):
         super().__init__()
         self.cell = GRUCell(input_size, hidden_size, rng)
         self.hidden_size = hidden_size
         self.return_sequences = return_sequences
-        self.fused_scan = fused_scan
 
     def forward(self, x, h0=None, lengths=None):
-        batch, steps, _ = x.shape
+        batch = x.shape[0]
         h = h0 if h0 is not None else Tensor(np.zeros((batch, self.hidden_size)))
-        if self.fused_scan and self.cell.fused:
-            cell = self.cell
-            return ops.gru_scan(x, h, cell.w_ih, cell.w_hh, cell.b_ih,
-                                cell.b_hh, lengths=lengths,
-                                return_sequences=self.return_sequences)
-        keep = _step_keep_masks(lengths, steps, batch)
-        outputs = []
-        # unbind_time shares one preallocated per-sequence gradient buffer
-        # across steps instead of one full-size scatter per step.
-        for t, x_t in enumerate(ops.unbind_time(x)):
-            h_new = self.cell(x_t, h)
-            h = h_new if keep is None else ops.where(keep[t], h_new, h)
-            outputs.append(h)
-        if self.return_sequences:
-            return ops.stack(outputs, axis=1)
-        return h
+        cell = self.cell
+        return ops.gru_scan(x, h, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh,
+                            lengths=lengths,
+                            return_sequences=self.return_sequences)
 
     # -- streaming inference (serve tier) ------------------------------
     def initial_state(self, batch_size):
@@ -178,44 +133,28 @@ class LSTMCell(Module):
 class LSTM(Module):
     """LSTM over a full sequence.
 
-    Like :class:`GRU`, runs through :func:`repro.nn.ops.lstm_scan` by
-    default (``fused_scan=True``) and accepts optional per-row
-    ``lengths`` on both paths.
+    Like :class:`GRU`, runs through one scan kernel,
+    :func:`repro.nn.ops.lstm_scan`, and accepts optional per-row
+    ``lengths``.
     """
 
-    def __init__(self, input_size, hidden_size, rng, return_sequences=True,
-                 fused_scan=True):
+    def __init__(self, input_size, hidden_size, rng, return_sequences=True):
         super().__init__()
         self.cell = LSTMCell(input_size, hidden_size, rng)
         self.hidden_size = hidden_size
         self.return_sequences = return_sequences
-        self.fused_scan = fused_scan
 
     def forward(self, x, state=None, lengths=None):
-        batch, steps, _ = x.shape
+        batch = x.shape[0]
         if state is None:
             h = Tensor(np.zeros((batch, self.hidden_size)))
             c = Tensor(np.zeros((batch, self.hidden_size)))
         else:
             h, c = state
-        if self.fused_scan:
-            cell = self.cell
-            return ops.lstm_scan(x, h, c, cell.w_ih, cell.w_hh, cell.bias,
-                                 lengths=lengths,
-                                 return_sequences=self.return_sequences)
-        keep = _step_keep_masks(lengths, steps, batch)
-        outputs = []
-        for t, x_t in enumerate(ops.unbind_time(x)):
-            h_new, c_new = self.cell(x_t, (h, c))
-            if keep is None:
-                h, c = h_new, c_new
-            else:
-                h = ops.where(keep[t], h_new, h)
-                c = ops.where(keep[t], c_new, c)
-            outputs.append(h)
-        if self.return_sequences:
-            return ops.stack(outputs, axis=1)
-        return h
+        cell = self.cell
+        return ops.lstm_scan(x, h, c, cell.w_ih, cell.w_hh, cell.bias,
+                             lengths=lengths,
+                             return_sequences=self.return_sequences)
 
     # -- streaming inference (serve tier) ------------------------------
     def initial_state(self, batch_size):
@@ -250,7 +189,6 @@ class BiGRU(Module):
         self.hidden_size = hidden_size
 
     def forward(self, x):
-        steps = x.shape[1]
         fwd = self.forward_gru(x)
         reversed_x = x[:, ::-1, :]
         bwd = self.backward_gru(reversed_x)

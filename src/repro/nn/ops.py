@@ -56,9 +56,9 @@ __all__ = [
     "sqrt", "tanh", "sigmoid", "relu", "leaky_relu", "clip", "abs",
     "abs_lt", "maximum", "minimum", "sum", "mean", "max", "min", "var",
     "reshape", "transpose", "swapaxes", "getitem", "concat", "stack",
-    "split", "unbind_time", "softmax", "log_softmax",
+    "split", "softmax", "log_softmax",
     "softmax_cross_entropy", "where", "dropout_mask", "pad_last",
-    "outer_last", "embedding_lookup", "gru_step", "gru_scan",
+    "outer_last", "embedding_lookup", "gru_scan",
     "per_feature_gru_scan", "lstm_scan", "grud_scan", "stagenet_scan",
 ]
 # gru_scan_step / per_feature_gru_scan_step / lstm_scan_step /
@@ -958,51 +958,6 @@ def split(a, sections, axis=-1):
     return outs
 
 
-def _unbind_weighted(a):
-    """Scalar build for the unbind_time factory: weighted sum of slices."""
-    total = None
-    for i, step in enumerate(unbind_time(a)):
-        term = mul(float(i + 1), _sqsum(step))
-        total = term if total is None else add(total, term)
-    return total
-
-
-@differentiable(lambda rng: [
-    OpSample(_unbind_weighted, rng.normal(size=(2, 3, 4))),
-    OpSample(_unbind_weighted, rng.normal(size=(3, 2))),
-])
-def unbind_time(a):
-    """Split a sequence tensor along axis 1 into per-step tensors.
-
-    ``unbind_time(x)[t]`` equals ``x[:, t]``, but the backward pass of all
-    steps shares one preallocated ``(batch, time, ...)`` gradient buffer
-    (written slice-wise into ``a.grad``) instead of scattering each step's
-    gradient through a fresh full-size zero array the way per-step
-    ``getitem`` does.  This is the hot path of every recurrent loop: for a
-    48-step sequence the unfused form allocates 48 full-sequence arrays
-    per backward, this form allocates one.
-    """
-    a = as_tensor(a)
-    if a.ndim < 2:
-        raise ValueError("unbind_time needs a (batch, time, ...) tensor")
-    steps = a.shape[1]
-
-    def make_backward(t):
-        def backward(grad):
-            if a.requires_grad:
-                # Preallocate the full per-sequence buffer once; later
-                # steps accumulate into their slice of the same array.
-                if a.grad is None:
-                    a.grad = np.zeros_like(a.data)
-                    if _bench_hooks._PROFILERS:
-                        _bench_hooks.grad_alloc(a.grad.nbytes)
-                a.grad[:, t] += grad
-        return backward
-
-    return [Tensor._make(a.data[:, t], (a,), make_backward(t))
-            for t in range(steps)]
-
-
 @differentiable(lambda rng: [
     OpSample(lambda a: _sqsum(pad_last(a, 1, 2)), rng.normal(size=(2, 3))),
     OpSample(lambda a: _sqsum(pad_last(a, 0, 1, value=0.7)),
@@ -1114,107 +1069,6 @@ def softmax_cross_entropy(logits, targets):
 # Fused recurrent kernels
 # ----------------------------------------------------------------------
 
-def _gru_step_sample(rng):
-    batch, num_in, hidden = 2, 3, 2
-    return [OpSample(
-        lambda x, h, wi, wh, bi, bh: _sqsum(gru_step(x, h, wi, wh, bi, bh)),
-        rng.normal(size=(batch, num_in)), rng.normal(size=(batch, hidden)),
-        rng.normal(size=(num_in, 3 * hidden)) * 0.5,
-        rng.normal(size=(hidden, 3 * hidden)) * 0.5,
-        rng.normal(size=3 * hidden) * 0.1, rng.normal(size=3 * hidden) * 0.1,
-    )]
-
-
-@differentiable(_gru_step_sample)
-def gru_step(x, h, w_ih, w_hh, b_ih, b_hh):
-    """One fused GRU step with a single hand-derived backward.
-
-    Computes exactly the function of :class:`~repro.nn.layers.GRUCell`
-    (gate layout ``[update z | reset r | candidate n]``, candidate of the
-    form ``tanh(n_x + r * n_h)``) but as **one** graph node: the input and
-    hidden projections for all gates run as a single
-    ``[x h] @ [W_ih; W_hh]`` matmul over the concatenated batch (plus one
-    small ``h @ W_hh[:, 2H:]`` product to keep the candidate's hidden
-    branch separate from the summed gates), and the ~20-node unfused
-    elementwise tail collapses into raw numpy.  The backward closure
-    reuses the cached gate activations, so the whole step costs four BLAS
-    calls backward instead of a long chain of tape nodes.
-    """
-    x, h = as_tensor(x), as_tensor(h)
-    w_ih, w_hh = as_tensor(w_ih), as_tensor(w_hh)
-    b_ih, b_hh = as_tensor(b_ih), as_tensor(b_hh)
-    hidden = h.shape[-1]
-    if w_ih.shape != (x.shape[-1], 3 * hidden) \
-            or w_hh.shape != (hidden, 3 * hidden):
-        raise ValueError(
-            f"gru_step weight shapes {w_ih.shape}/{w_hh.shape} do not match "
-            f"input {x.shape} and hidden {h.shape}")
-
-    xh = np.concatenate([x.data, h.data], axis=-1)
-    w_all = np.concatenate([w_ih.data, w_hh.data], axis=0)
-    gates = xh @ w_all                               # summed z | r | n
-    gates += b_ih.data + b_hh.data
-    # The candidate needs n_x and n_h separately (reset scales only n_h);
-    # recover n_x from the summed gate instead of a third full matmul.
-    n_h = h.data @ w_hh.data[:, 2 * hidden:]
-    n_h += b_hh.data[2 * hidden:]
-    # Gate activations overwrite their pre-activation slices of the one
-    # ``gates`` buffer — the pre-activations are never needed again.
-    z = _stable_sigmoid(gates[:, :hidden], out=gates[:, :hidden])
-    r = _stable_sigmoid(gates[:, hidden:2 * hidden],
-                        out=gates[:, hidden:2 * hidden])
-    n_pre = gates[:, 2 * hidden:]
-    n_pre -= n_h
-    n_pre += r * n_h
-    n = np.tanh(n_pre, out=n_pre)
-    out_data = h.data - n                            # z*h + (1-z)*n
-    out_data *= z
-    out_data += n
-
-    def backward(grad):
-        # One (batch, 3H) buffer holds the x-side gate gradients; the
-        # three blocks are filled in place via out= ufuncs instead of
-        # three temporaries plus an np.concatenate copy.
-        d_gates = np.empty_like(gates)
-        d_z = d_gates[:, :hidden]
-        d_r = d_gates[:, hidden:2 * hidden]
-        d_n = d_gates[:, 2 * hidden:]
-        one_minus = 1.0 - z
-        np.multiply(n, n, out=d_n)                   # d_n_pre
-        np.subtract(1.0, d_n, out=d_n)
-        d_n *= grad
-        d_n *= one_minus
-        np.subtract(h.data, n, out=d_z)              # d_z_pre
-        d_z *= grad
-        d_z *= z
-        d_z *= one_minus
-        np.subtract(1.0, r, out=one_minus)           # buffer becomes 1-r
-        np.multiply(d_n, n_h, out=d_r)               # d_r_pre
-        d_r *= r
-        d_r *= one_minus
-        if h.requires_grad or w_hh.requires_grad or b_hh.requires_grad:
-            # h-side gates differ only in the candidate block (scaled by
-            # the reset gate): one copy, one in-place scale.
-            d_gates_h = d_gates.copy()
-            d_gates_h[:, 2 * hidden:] *= r
-        if x.requires_grad:
-            x._accumulate(d_gates @ w_ih.data.T, owned=True)
-        if h.requires_grad:
-            grad_h = d_gates_h @ w_hh.data.T
-            grad_h += grad * z
-            h._accumulate(grad_h, owned=True)
-        if w_ih.requires_grad:
-            w_ih._accumulate(x.data.T @ d_gates, owned=True)
-        if w_hh.requires_grad:
-            w_hh._accumulate(h.data.T @ d_gates_h, owned=True)
-        if b_ih.requires_grad:
-            b_ih._accumulate(d_gates.sum(axis=0), owned=True)
-        if b_hh.requires_grad:
-            b_hh._accumulate(d_gates_h.sum(axis=0), owned=True)
-
-    return Tensor._make(out_data, (x, h, w_ih, w_hh, b_ih, b_hh), backward)
-
-
 def _sigmoid_into(x, out):
     """Branch-free sigmoid via ``0.5 * (1 + tanh(x/2))`` for the scans.
 
@@ -1222,9 +1076,9 @@ def _sigmoid_into(x, out):
     stable (tanh saturates cleanly), but four strided ufunc passes with
     no boolean fancy indexing — an order of magnitude cheaper on the
     small per-timestep gate slabs the scan loop touches.  The scan
-    kernels are held to the step path by tolerance (not bit-identity),
-    so they are free to use it; the per-step kernels keep
-    ``_stable_sigmoid`` whose exact floats historical recordings pin.
+    kernels are held to their step-unrolled oracles by tolerance (not
+    bit-identity), so they are free to use it; :func:`sigmoid` keeps
+    ``_stable_sigmoid``.
     """
     np.multiply(x, 0.5, out=out)
     np.tanh(out, out=out)
@@ -1359,8 +1213,10 @@ def gru_scan(x, h0, w_ih, w_hh, b_ih, b_hh, lengths=None,
              return_sequences=True):
     """Fused GRU over a whole ``(batch, steps, features)`` sequence.
 
-    Extends the coarse-grained-op idiom of :func:`gru_step` from one
-    timestep to the full scan: the input projection ``X @ W_ih`` for all
+    Computes the function of a step-unrolled loop over
+    :class:`~repro.nn.layers.GRUCell` (gate layout ``[update z | reset r
+    | candidate n]``, candidate ``tanh(n_x + r * n_h)``) as one graph
+    node: the input projection ``X @ W_ih`` for all
     timesteps runs as a single GEMM up front, the python loop touches
     only the small recurrent ``h @ W_hh`` product plus the elementwise
     gate tail (all via out= ufuncs into preallocated stacks), and the

@@ -32,7 +32,6 @@ def floor_spec():
 
 def test_floor_file_is_well_formed(floor_spec):
     assert floor_spec["schema"] == "repro.bench/perf-floor-v6"
-    assert floor_spec["benchmark"]["fused_scan"] is True
     assert floor_spec["benchmark"]["bucket_by_length"] is True
     assert set(floor_spec["dtypes"]) == {"float32", "float64"}
     for entry in floor_spec["dtypes"].values():
@@ -56,7 +55,6 @@ def test_training_throughput_above_floor(floor_spec, dtype):
         model_name=spec["model"], task=spec["task"], epochs=spec["epochs"],
         num_admissions=spec["num_admissions"],
         batch_size=spec["batch_size"], seed=spec["seed"],
-        fused=spec["fused"], fused_scan=spec["fused_scan"],
         bucket_by_length=spec["bucket_by_length"],
         with_profiler=False, dtype=dtype)
     lane = floor_spec["dtypes"][dtype]
@@ -73,16 +71,16 @@ def test_training_throughput_above_floor(floor_spec, dtype):
 @pytest.mark.parametrize("model_name", ["GRU-D", "StageNet", "ConCare"])
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_scan_model_throughput_above_floor(floor_spec, model_name, dtype):
-    """GRU-D/StageNet/ConCare route through their sequence-fused scans;
-    dropping below the floor means a scan routing silently regressed to
-    a per-step path (per-step float32 throughput sits under these
-    floors — see BENCH_9.json and the v6 note in the floor file)."""
+    """GRU-D/StageNet/ConCare run only through their sequence-fused
+    scans; dropping below the floor means a scan kernel lost the speed
+    it had over the step-unrolled loops it replaced (their float32
+    throughput sits under these floors — see BENCH_9.json and the v6
+    note in the floor file)."""
     spec = floor_spec["benchmark"]
     result = benchmark_training(
         model_name=model_name, task=spec["task"], epochs=spec["epochs"],
         num_admissions=spec["num_admissions"],
         batch_size=spec["batch_size"], seed=spec["seed"],
-        fused=spec["fused"], fused_scan=True,
         bucket_by_length=spec["bucket_by_length"],
         with_profiler=False, dtype=dtype)
     lane = floor_spec["scan_models"][model_name][dtype]

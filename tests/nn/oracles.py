@@ -4,12 +4,113 @@ Each oracle spells a fused op out of the engine's small autodiff
 primitives, one timestep at a time, exactly as the production layer
 computed it before the kernel existed.  The kernels are held to these
 compositions by tolerance (tests/nn/test_scan_equivalence.py); nothing
-under ``src/`` imports them.
+under ``src/`` imports them (tests/test_no_test_imports.py guards
+that).
+
+Ragged ``lengths`` freeze exhausted rows with a per-step ``where``: a
+row past its length carries its state unchanged, which is the scans'
+frozen-row semantics.
 """
 
 import numpy as np
 
 from repro.nn import Tensor, ops
+
+
+def _keep_masks(lengths, steps, batch):
+    """Per-step ``(batch, 1)`` keep-masks, or ``None`` without lengths.
+
+    ``masks[t]`` is True for rows still active at step ``t``.
+    """
+    if lengths is None:
+        return None
+    lengths = np.asarray(lengths, dtype=np.int64).reshape(batch, 1)
+    return [lengths > t for t in range(steps)]
+
+
+def gru_reference(layer, x, h0=None, lengths=None):
+    """Step-unrolled oracle for :class:`repro.nn.layers.GRU`
+    (:func:`repro.nn.ops.gru_scan`): ``layer.cell`` applied per step.
+    """
+    batch, steps, _ = x.shape
+    h = h0 if h0 is not None else Tensor(np.zeros((batch, layer.hidden_size)))
+    keep = _keep_masks(lengths, steps, batch)
+    outputs = []
+    for t in range(steps):
+        h_new = layer.cell(x[:, t], h)
+        h = h_new if keep is None else ops.where(keep[t], h_new, h)
+        outputs.append(h)
+    if layer.return_sequences:
+        return ops.stack(outputs, axis=1)
+    return h
+
+
+def lstm_reference(layer, x, state=None, lengths=None):
+    """Step-unrolled oracle for :class:`repro.nn.layers.LSTM`
+    (:func:`repro.nn.ops.lstm_scan`): ``layer.cell`` applied per step.
+    """
+    batch, steps, _ = x.shape
+    if state is None:
+        h = Tensor(np.zeros((batch, layer.hidden_size)))
+        c = Tensor(np.zeros((batch, layer.hidden_size)))
+    else:
+        h, c = state
+    keep = _keep_masks(lengths, steps, batch)
+    outputs = []
+    for t in range(steps):
+        h_new, c_new = layer.cell(x[:, t], (h, c))
+        if keep is None:
+            h, c = h_new, c_new
+        else:
+            h = ops.where(keep[t], h_new, h)
+            c = ops.where(keep[t], c_new, c)
+        outputs.append(h)
+    if layer.return_sequences:
+        return ops.stack(outputs, axis=1)
+    return h
+
+
+def grud_reference(model, batch):
+    """Step-unrolled oracle for :meth:`repro.baselines.GRUD.forward_batch`
+    (:func:`repro.nn.ops.grud_scan`); returns the logits.
+    """
+    values = Tensor(batch.values)                       # LOCF-imputed x'
+    mask = Tensor(batch.mask)
+    deltas = Tensor(batch.deltas)
+    batch_size, steps, _ = values.shape
+    h = Tensor(np.zeros((batch_size, model.hidden_size)))
+    for t in range(steps):
+        delta_t = deltas[:, t]
+        v_t = values[:, t]
+        m_t = mask[:, t]
+        # Input decay toward the (zero) global mean.
+        gamma_x = ops.exp(-ops.relu(delta_t * model.input_decay))
+        x_hat = m_t * v_t + (1.0 - m_t) * gamma_x * v_t
+        # Hidden-state decay.
+        gamma_h = ops.exp(-ops.relu(
+            ops.matmul(delta_t, model.hidden_decay_w) + model.hidden_decay_b))
+        h = model.cell(ops.concat([x_hat, m_t], axis=-1), gamma_h * h)
+    return (ops.matmul(h, model.weight) + model.bias).reshape(-1)
+
+
+def stagenet_reference(model, batch):
+    """Step-unrolled oracle for :meth:`repro.baselines.StageNet.forward_batch`
+    (:func:`repro.nn.ops.stagenet_scan`); returns the logits.
+    """
+    values = Tensor(batch.values)
+    batch_size, steps, _ = values.shape
+    h = Tensor(np.zeros((batch_size, model.hidden_size)))
+    c = Tensor(np.zeros((batch_size, model.hidden_size)))
+    states = []
+    for t in range(steps):
+        x_t = values[:, t]
+        h, c = model.cell(x_t, (h, c))
+        # Stage progression gate: how much the stage advanced.
+        stage = model.stage_gate(ops.concat([h, x_t], axis=-1))
+        c = stage * c                       # re-calibrate cell memory
+        states.append(h)
+    trajectory = ops.stack(states, axis=1)                  # (B,T,H)
+    return model._head(trajectory, h)
 
 
 def per_feature_gru_reference(values, w_ih, w_hh, bias):

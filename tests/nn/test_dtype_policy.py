@@ -130,14 +130,6 @@ class TestDtypePreservation:
             lambda a: ops.softmax_cross_entropy(a, np.array([0, 2])),
             np.random.default_rng(5).normal(size=(2, 4)))
 
-    def test_gru_step(self):
-        rng = np.random.default_rng(6)
-        self._assert_float32_through(
-            ops.gru_step,
-            rng.normal(size=(2, 3)), rng.normal(size=(2, 4)),
-            rng.normal(size=(3, 12)), rng.normal(size=(4, 12)),
-            rng.normal(size=12), rng.normal(size=12))
-
     def test_losses_bce_with_logits(self):
         from repro.nn.losses import bce_with_logits
         logits = Tensor(np.zeros(6), requires_grad=True)

@@ -1,16 +1,17 @@
 """Scan-vs-step equivalence for the sequence-fused recurrent kernels.
 
-:func:`repro.nn.ops.gru_scan` / :func:`repro.nn.ops.lstm_scan` replay an
-entire sequence as one graph node.  They are not bit-identical to the
-step-unrolled paths — the one-big-GEMM input projection reassociates
-float ops — so this suite pins them together by tolerance instead:
-forward values and every gradient (input, initial state, parameters)
-within 1e-10 of the per-step path under float64 and 1e-4 under float32,
-across batch 1, non-contiguous inputs, the T=1 edge case, and ragged
-lengths with frozen-row masking.  Mirrors the PR 2 fused-equivalence
-pattern (tests/nn/test_fused_equivalence.py).  ConCare's
-:func:`repro.nn.ops.per_feature_gru_scan` has no step path left in the
-library; it is held to the step-unrolled oracle in tests/nn/oracles.py.
+Every recurrence in the library — :func:`repro.nn.ops.gru_scan`,
+:func:`~repro.nn.ops.lstm_scan`, :func:`~repro.nn.ops.grud_scan`,
+:func:`~repro.nn.ops.stagenet_scan` and
+:func:`~repro.nn.ops.per_feature_gru_scan` — replays an entire sequence
+as one graph node and has no step path in ``src/``.  Each is held to its
+step-unrolled oracle in tests/nn/oracles.py.  They are not
+bit-identical — the one-big-GEMM input projection reassociates float
+ops — so this suite pins them together by tolerance instead: forward
+values and every gradient (input, parameters) within 1e-10 of the
+oracle under float64 and 1e-4 under float32, across batch 1,
+non-contiguous inputs, the T=1 edge case, and ragged lengths with
+frozen-row masking.
 """
 
 import numpy as np
@@ -22,7 +23,9 @@ from repro.nn.dtype import autocast
 from repro.nn.gradcheck import gradcheck
 from repro.nn.layers import GRU, LSTM
 from repro.nn.tensor import no_grad
-from tests.nn.oracles import per_feature_gru_reference
+from tests.nn.oracles import (grud_reference, gru_reference,
+                              lstm_reference, per_feature_gru_reference,
+                              stagenet_reference)
 
 _TOLS = {np.dtype(np.float64): 1e-10, np.dtype(np.float32): 1e-4}
 
@@ -43,11 +46,13 @@ def _max_diff(a, b):
     return float(np.abs(np.asarray(a) - np.asarray(b)).max())
 
 
-def _run_layer(layer, x, lengths=None):
-    """Forward + backward of sum(out^2); returns (out, grads by name)."""
+def _run_layer(layer, x, lengths=None, forward=None):
+    """Forward + backward of sum(out^2) through ``forward(xt, lengths=)``
+    (default: the layer itself); returns (out, grads by name)."""
+    forward = forward or layer
     layer.zero_grad()
     xt = Tensor(x, requires_grad=True)
-    out = layer(xt, lengths=lengths)
+    out = forward(xt, lengths=lengths)
     (out * out).sum().backward()
     grads = {"x": xt.grad.copy()}
     grads.update({name: p.grad.copy()
@@ -55,11 +60,12 @@ def _run_layer(layer, x, lengths=None):
     return out.data.copy(), grads
 
 
-def _assert_paths_agree(layer, x, tol, lengths=None):
-    layer.fused_scan = True
+def _assert_paths_agree(layer, oracle, x, tol, lengths=None):
+    """The layer's scan against ``oracle(layer, x, lengths=)``."""
     out_scan, grads_scan = _run_layer(layer, x, lengths)
-    layer.fused_scan = False
-    out_step, grads_step = _run_layer(layer, x, lengths)
+    out_step, grads_step = _run_layer(
+        layer, x, lengths,
+        forward=lambda xt, lengths: oracle(layer, xt, lengths=lengths))
     assert _max_diff(out_scan, out_step) < tol
     for name in grads_scan:
         assert _max_diff(grads_scan[name], grads_step[name]) < tol, name
@@ -71,7 +77,7 @@ class TestGRUScanEquivalence:
         rng = np.random.default_rng(batch * 10 + steps)
         layer = GRU(5, 4, np.random.default_rng(1))
         x = rng.normal(size=(batch, steps, 5))
-        _assert_paths_agree(layer, x, TOL)
+        _assert_paths_agree(layer, gru_reference, x, TOL)
 
     @pytest.mark.parametrize("return_sequences", [True, False])
     def test_ragged_lengths(self, return_sequences, TOL):
@@ -79,20 +85,22 @@ class TestGRUScanEquivalence:
         layer = GRU(3, 4, np.random.default_rng(2),
                     return_sequences=return_sequences)
         x = rng.normal(size=(4, 6, 3))
-        _assert_paths_agree(layer, x, TOL, lengths=np.array([1, 6, 3, 4]))
+        _assert_paths_agree(layer, gru_reference, x, TOL,
+                            lengths=np.array([1, 6, 3, 4]))
 
     def test_non_contiguous_input(self, TOL):
         rng = np.random.default_rng(3)
         layer = GRU(5, 4, np.random.default_rng(3))
         x = rng.normal(size=(2, 12, 5))[:, ::2]     # stride-2 time view
         assert not x.flags["C_CONTIGUOUS"]
-        _assert_paths_agree(layer, x, TOL)
+        _assert_paths_agree(layer, gru_reference, x, TOL)
 
     def test_batch_one_with_length(self, TOL):
         rng = np.random.default_rng(4)
         layer = GRU(3, 2, np.random.default_rng(4))
         x = rng.normal(size=(1, 5, 3))
-        _assert_paths_agree(layer, x, TOL, lengths=np.array([2]))
+        _assert_paths_agree(layer, gru_reference, x, TOL,
+                            lengths=np.array([2]))
 
     def test_frozen_rows_repeat_final_state(self):
         rng = np.random.default_rng(5)
@@ -142,7 +150,7 @@ class TestLSTMScanEquivalence:
         rng = np.random.default_rng(batch * 10 + steps + 50)
         layer = LSTM(5, 4, np.random.default_rng(1))
         x = rng.normal(size=(batch, steps, 5))
-        _assert_paths_agree(layer, x, TOL)
+        _assert_paths_agree(layer, lstm_reference, x, TOL)
 
     @pytest.mark.parametrize("return_sequences", [True, False])
     def test_ragged_lengths(self, return_sequences, TOL):
@@ -150,14 +158,15 @@ class TestLSTMScanEquivalence:
         layer = LSTM(3, 4, np.random.default_rng(2),
                      return_sequences=return_sequences)
         x = rng.normal(size=(4, 6, 3))
-        _assert_paths_agree(layer, x, TOL, lengths=np.array([3, 6, 1, 5]))
+        _assert_paths_agree(layer, lstm_reference, x, TOL,
+                            lengths=np.array([3, 6, 1, 5]))
 
     def test_non_contiguous_input(self, TOL):
         rng = np.random.default_rng(13)
         layer = LSTM(5, 4, np.random.default_rng(3))
         x = rng.normal(size=(2, 12, 5))[:, ::2]
         assert not x.flags["C_CONTIGUOUS"]
-        _assert_paths_agree(layer, x, TOL)
+        _assert_paths_agree(layer, lstm_reference, x, TOL)
 
 
 class _Batch:
@@ -170,26 +179,27 @@ class _Batch:
         self.deltas = np.abs(rng.normal(size=(batch, steps, channels))) + 0.5
 
 
-def _run_model(model, batch):
-    """Forward + backward of sum(logits^2); returns (logits, param grads).
+def _run_model(forward, model, batch):
+    """Forward + backward of sum(logits^2) through ``forward(batch)``;
+    returns (logits, param grads).
 
     A parameter the path never touched (e.g. the T=1 stage gate, whose
     recalibrated cell is never read again on the step path) reports its
     gradient as zeros — the scan paths accumulate explicit zeros there.
     """
     model.zero_grad()
-    logits = model.forward_batch(batch)
+    logits = forward(batch)
     (logits * logits).sum().backward()
     return logits.data.copy(), {
         name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
         for name, p in model.named_parameters()}
 
 
-def _assert_model_paths_agree(model, batch, tol):
-    model.fused_scan = True
-    out_scan, grads_scan = _run_model(model, batch)
-    model.fused_scan = False
-    out_step, grads_step = _run_model(model, batch)
+def _assert_model_paths_agree(model, oracle, batch, tol):
+    """``model.forward_batch`` (the scan) against ``oracle(model, batch)``."""
+    out_scan, grads_scan = _run_model(model.forward_batch, model, batch)
+    out_step, grads_step = _run_model(lambda b: oracle(model, b), model,
+                                      batch)
     assert _max_diff(out_scan, out_step) < tol
     assert grads_scan.keys() == grads_step.keys()
     for name in grads_scan:
@@ -197,7 +207,7 @@ def _assert_model_paths_agree(model, batch, tol):
 
 
 class TestGRUDScanEquivalence:
-    """The decay-augmented scan against GRU-D's step-unrolled reference:
+    """The decay-augmented scan against GRU-D's step-unrolled oracle:
     forward logits and the gradient of *every* parameter (decay rates,
     decay projection, GRU kernels, head) within tolerance."""
 
@@ -205,7 +215,8 @@ class TestGRUDScanEquivalence:
     def test_matches_reference_path(self, batch, steps, TOL):
         rng = np.random.default_rng(batch * 10 + steps)
         model = GRUD(3, np.random.default_rng(1), hidden_size=4)
-        _assert_model_paths_agree(model, _Batch(rng, batch, steps, 3), TOL)
+        _assert_model_paths_agree(model, grud_reference,
+                                  _Batch(rng, batch, steps, 3), TOL)
 
     def test_all_observed_and_none_observed_masks(self, TOL):
         rng = np.random.default_rng(21)
@@ -213,13 +224,12 @@ class TestGRUDScanEquivalence:
         batch = _Batch(rng, 2, 5, 3)
         for fill in (1.0, 0.0):      # decay path fully off / fully on
             batch.mask = np.full_like(batch.mask, fill)
-            _assert_model_paths_agree(model, batch, TOL)
+            _assert_model_paths_agree(model, grud_reference, batch, TOL)
 
     def test_no_grad_path_matches_grad_path(self):
         rng = np.random.default_rng(22)
         model = GRUD(3, np.random.default_rng(3), hidden_size=4)
         batch = _Batch(rng, 2, 5, 3)
-        model.fused_scan = True
         with no_grad():
             lean = model.predict_logits(batch)
         full = model.forward_batch(batch).data
@@ -227,7 +237,7 @@ class TestGRUDScanEquivalence:
 
 
 class TestStageNetScanEquivalence:
-    """The stage-aware scan against StageNet's step-unrolled reference,
+    """The stage-aware scan against StageNet's step-unrolled oracle,
     including the stage-gate parameters and the conv/attention head fed
     by the scanned trajectory."""
 
@@ -236,7 +246,8 @@ class TestStageNetScanEquivalence:
         rng = np.random.default_rng(batch * 10 + steps + 100)
         model = StageNet(3, np.random.default_rng(1), hidden_size=6,
                          conv_channels=4, kernel_size=3)
-        _assert_model_paths_agree(model, _Batch(rng, batch, steps, 3), TOL)
+        _assert_model_paths_agree(model, stagenet_reference,
+                                  _Batch(rng, batch, steps, 3), TOL)
 
 
 def _per_feature_encoder(channels, hidden, seed):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.data import SyntheticEMRGenerator, build_dataset
-from repro.serve import PreprocessCache, ServeMetrics, prepare_admission
+from repro.serve import (PreprocessCache, ServeConfig, ServeMetrics,
+                         prepare_admission)
 
 pytestmark = pytest.mark.serve
 
@@ -74,7 +75,7 @@ class TestAccounting:
 
 class TestEviction:
     def test_lru_order(self, admissions, standardizer):
-        cache = PreprocessCache(standardizer, capacity=2)
+        cache = PreprocessCache(standardizer, ServeConfig(cache_capacity=2))
         cache.get("a", admissions[0].values)
         cache.get("b", admissions[1].values)
         cache.get("a")  # refresh a; b is now least recently used
@@ -92,13 +93,13 @@ class TestEviction:
 
     def test_rejects_zero_capacity(self, standardizer):
         with pytest.raises(ValueError, match="capacity"):
-            PreprocessCache(standardizer, capacity=0)
+            PreprocessCache(standardizer, ServeConfig(cache_capacity=0))
 
 
 class TestThreadSafety:
     def test_concurrent_lookups_stay_consistent(self, admissions,
                                                 standardizer):
-        cache = PreprocessCache(standardizer, capacity=8)
+        cache = PreprocessCache(standardizer, ServeConfig(cache_capacity=8))
         lookups_per_thread = 50
 
         def worker(seed):

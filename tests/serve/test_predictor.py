@@ -8,7 +8,7 @@ import pytest
 
 from repro.baselines import build_model
 from repro.data import NUM_FEATURES
-from repro.serve import Predictor, ServeMetrics, load_predictor
+from repro.serve import Predictor, ServeConfig, ServeMetrics, load_predictor
 
 pytestmark = pytest.mark.serve
 
@@ -168,7 +168,8 @@ class TestMetricsIntegration:
     def test_forwards_are_recorded(self, tiny_dataset):
         metrics = ServeMetrics("unit")
         model = build_model("LR", NUM_FEATURES, np.random.default_rng(0))
-        predictor = Predictor(model, batch_size=4, metrics=metrics)
+        predictor = Predictor(model, ServeConfig(batch_size=4),
+                              metrics=metrics)
         predictor.predict_proba(tiny_dataset.subset(np.arange(10)))
         assert metrics.batch_count == 3  # 4 + 4 + 2
         assert metrics.batch_size_histogram() == {2: 1, 4: 2}
@@ -216,8 +217,9 @@ class TestCapture:
         metrics = ServeMetrics("padded")
         model = build_model("GRU", NUM_FEATURES, np.random.default_rng(0),
                             hidden_size=6)
-        predictor = Predictor(model, metrics=metrics, capture=True,
-                              max_captures=1)
+        predictor = Predictor(
+            model, ServeConfig(capture=True, max_captures=1),
+            metrics=metrics)
         for size in (1, 3, 5):
             batch = tiny_dataset.subset(np.arange(size))
             np.testing.assert_array_equal(
@@ -229,8 +231,9 @@ class TestCapture:
     def test_shape_budget_overflow_falls_back_to_eager(self, tiny_dataset):
         metrics = ServeMetrics("budget")
         model = build_model("LR", NUM_FEATURES, np.random.default_rng(0))
-        predictor = Predictor(model, metrics=metrics, capture=True,
-                              max_captures=1)
+        predictor = Predictor(
+            model, ServeConfig(capture=True, max_captures=1),
+            metrics=metrics)
         predictor.predict_logits(tiny_dataset.subset(np.arange(2)))
         predictor.predict_logits(tiny_dataset.subset(np.arange(5)))
         assert metrics.capture_hits == 1
@@ -238,8 +241,8 @@ class TestCapture:
 
     def test_uncapturable_model_serves_eagerly_forever(self, tiny_dataset):
         metrics = ServeMetrics("fallback")
-        predictor = Predictor(_UncapturableModel(), metrics=metrics,
-                              capture=True)
+        predictor = Predictor(_UncapturableModel(),
+                              ServeConfig(capture=True), metrics=metrics)
         batch = tiny_dataset.subset(np.arange(3))
         expected = np.asarray(batch.values).sum(axis=(1, 2))
         for _ in range(2):
@@ -252,7 +255,8 @@ class TestCapture:
         metrics = ServeMetrics("swap")
         model = build_model("GRU", NUM_FEATURES, np.random.default_rng(0),
                             hidden_size=6)
-        predictor = Predictor(model, metrics=metrics, capture=True)
+        predictor = Predictor(model, ServeConfig(capture=True),
+                              metrics=metrics)
         batch = tiny_dataset.subset(np.arange(3))
         predictor.predict_logits(batch)            # trace + replay
         for _, param in model.named_parameters():  # Module.to()-style swap

@@ -65,9 +65,10 @@ def test_micro_batching_speedup_above_floor(floor_spec):
     requests = load["requests"]
     metrics = ServeMetrics("perf")
     batched_predictor = Predictor(model, metrics=metrics)
-    with MicroBatcher(batched_predictor,
-                      max_batch_size=load["max_batch_size"],
-                      max_wait_ms=load["max_wait_ms"],
+    config = batched_predictor.config.replace(
+        max_batch_size=load["max_batch_size"],
+        max_wait_ms=load["max_wait_ms"])
+    with MicroBatcher(batched_predictor, config=config,
                       metrics=metrics) as batcher:
         started = perf_counter()
 

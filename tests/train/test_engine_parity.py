@@ -9,18 +9,16 @@ loss math, early-stopping decisions) changed.
 
 The recordings were made under float64, so the whole module pins the
 precision policy to float64 (the float32-vs-float64 *statistical*
-parity lives in tests/train/test_precision_parity.py).  They also
-predate the sequence-fused scan kernels, whose one-big-GEMM input
-projection reassociates float ops, so the GRU model is pinned to the
-per-step path here — scan-vs-step closeness has its own tolerance-based
-suite in tests/nn/test_scan_equivalence.py.
+parity lives in tests/train/test_precision_parity.py).  The GRU model
+runs on the production scan kernel, whose one-big-GEMM input projection
+reassociates float ops against the per-step recording: the validation
+losses move by at most 2.2e-16, inside the 1e-12 tolerance.
 """
 
 import numpy as np
 import pytest
 
 from repro.baselines import GRUClassifier, LogisticRegression
-from repro.bench.runner import set_fused_scan
 from repro.data import NUM_FEATURES, SyntheticEMRGenerator, train_val_test_split
 from repro.nn.dtype import autocast
 from repro.train import Trainer
@@ -55,7 +53,6 @@ def parity_splits():
 def test_gru_loss_monitor_trajectory_is_pinned(parity_splits):
     model = GRUClassifier(NUM_FEATURES, np.random.default_rng(0),
                           hidden_size=8)
-    set_fused_scan(model, False)   # recordings predate the scan kernels
     trainer = Trainer(model, "mortality", max_epochs=4, patience=4,
                       batch_size=16, seed=0, monitor="loss")
     history = trainer.fit(parity_splits.train, parity_splits.validation)
