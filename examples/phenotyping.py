@@ -36,7 +36,7 @@ def main():
     print(f"Test accuracy: {metrics['accuracy']:.3f} "
           f"(chance level: {1 / num_classes:.3f})")
 
-    probs = trainer.predict_proba(splits.test)
+    probs = trainer.engine.predict_proba(splits.test)
     predicted = probs.argmax(axis=1)
     truth = splits.test.labels("phenotype")
     print("\nPer-archetype recall:")

@@ -1151,6 +1151,74 @@ def _gru_gates_backward_into(dh, g_act, nh, h_prev, dgx, dgh, om):
     np.multiply(d_n, r, out=dgh[..., h2:])
 
 
+def _lstm_gates_into(gt, gh, c_prev, g_act, c_new, tc, h_new, tmp):
+    """The LSTM gate tail shared by the LSTM-family scans and stream steps.
+
+    Gates on the last axis, laid out ``[i | f | g | o]``: ``gh`` (the
+    recurrent projection) is added into ``gt`` (the input-side
+    pre-activations, consumed in place), the post-activations go to
+    ``g_act``, the cell ``f * c_prev + i * g`` to ``c_new``, its
+    ``tanh`` to ``tc`` and ``o * tanh(c)`` to ``h_new``; ``tmp`` is
+    scratch of ``c_prev``'s shape.  StageNet passes its pre-stage cell
+    as ``c_new``.  One ufunc sequence for scans and steps, as with
+    :func:`_gru_gates_into`.
+    """
+    hidden = c_prev.shape[-1]
+    h2, h3 = 2 * hidden, 3 * hidden
+    gt += gh
+    _sigmoid_into(gt[..., :h2], out=g_act[..., :h2])       # i | f
+    g = np.tanh(gt[..., h2:h3], out=g_act[..., h2:h3])
+    o = _sigmoid_into(gt[..., h3:], out=g_act[..., h3:])
+    np.multiply(g_act[..., hidden:h2], c_prev, out=c_new)
+    np.multiply(g_act[..., :hidden], g, out=tmp)
+    c_new += tmp
+    np.tanh(c_new, out=tc)
+    return np.multiply(o, tc, out=h_new)
+
+
+def _lstm_gates_backward_into(dh, dc, g_act, tc, c_prev, dg, om, scr):
+    """Backward of :func:`_lstm_gates_into` for one step.
+
+    Given ``dh`` (the gradient w.r.t. ``h_new``) and ``dc`` (w.r.t. the
+    cell), adds the ``h = o * tanh(c)`` leg of ``dh`` into ``dc`` in
+    place and fills ``dg`` with the gradient w.r.t. the gate
+    pre-activations ``[i | f | g | o]``.  ``om`` and ``scr`` are scratch
+    of ``dh``'s shape.  The carries ``dg @ W_hh.T`` and ``dc * f`` are
+    left to the caller.
+    """
+    hidden = dh.shape[-1]
+    h2, h3 = 2 * hidden, 3 * hidden
+    i = g_act[..., :hidden]
+    f = g_act[..., hidden:h2]
+    g = g_act[..., h2:h3]
+    o = g_act[..., h3:]
+    d_i = dg[..., :hidden]
+    d_f = dg[..., hidden:h2]
+    d_g = dg[..., h2:h3]
+    d_o = dg[..., h3:]
+    np.multiply(dh, tc, out=d_o)                 # d_o_pre
+    d_o *= o
+    np.subtract(1.0, o, out=om)
+    d_o *= om
+    np.multiply(tc, tc, out=scr)                 # dh -> dc via tanh(c)
+    np.subtract(1.0, scr, out=scr)
+    scr *= o
+    scr *= dh
+    dc += scr
+    np.multiply(dc, g, out=d_i)                  # d_i_pre
+    d_i *= i
+    np.subtract(1.0, i, out=om)
+    d_i *= om
+    np.multiply(dc, c_prev, out=d_f)             # d_f_pre
+    d_f *= f
+    np.subtract(1.0, f, out=om)
+    d_f *= om
+    np.multiply(g, g, out=d_g)                   # d_g_pre
+    np.subtract(1.0, d_g, out=d_g)
+    d_g *= dc
+    d_g *= i
+
+
 def _rowstable_matmul(a, b):
     """``a @ b`` computed in the BLAS row-stable regime (M >= 2).
 
@@ -1171,9 +1239,14 @@ def _rowstable_matmul(a, b):
 
 
 def _check_scan_lengths(lengths, batch, steps):
-    """Validate per-row sequence lengths for the scan kernels."""
+    """Validate per-row sequence lengths for the scan kernels.
+
+    Returns ``(lengths, t_run, min_len)``: the lengths as int64 (or
+    ``None``), the number of steps the loop runs (the longest length),
+    and the first step at which any row can be frozen (the shortest).
+    """
     if lengths is None:
-        return None
+        return None, steps, 0
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.shape != (batch,):
         raise ValueError(
@@ -1182,7 +1255,70 @@ def _check_scan_lengths(lengths, batch, steps):
         raise ValueError(
             f"lengths must lie in [0, {steps}], got "
             f"[{lengths.min()}, {lengths.max()}]")
-    return lengths
+    return (lengths, int(lengths.max(initial=0)),
+            int(lengths.min(initial=steps)))
+
+
+def _frozen_rows(lengths, min_len, t):
+    """Mask of the rows whose sequence has ended before step ``t``, or
+    ``None`` while every row is still running."""
+    if lengths is None or t < min_len:
+        return None
+    return lengths <= t
+
+
+def _time_major(a, t_run):
+    """The first ``t_run`` steps of a ``(batch, steps, ...)`` array as a
+    contiguous time-major ``(t_run, batch, ...)`` copy, so each step's
+    slice is contiguous and the flattened ``(t_run * batch, ...)`` row
+    view of the input projection GEMM is free."""
+    return np.ascontiguousarray(a[:, :t_run].swapaxes(0, 1))
+
+
+def _project(rows, weight, bias, shape):
+    """``rows @ weight + bias`` as one row-stable GEMM, viewed as
+    ``shape`` (the scans' hoisted input projection of every step)."""
+    out = _rowstable_matmul(rows, weight)
+    out += bias
+    return out.reshape(shape)
+
+
+def _scan_output(h_stack, steps, return_sequences):
+    """A scan's result from its ``(t_run + 1, batch, hidden)`` states.
+
+    The ``(batch, steps, hidden)`` trajectory, whose padded tail past
+    ``t_run`` repeats the frozen final state, or the final state alone.
+    """
+    t_run = len(h_stack) - 1
+    if not return_sequences:
+        return h_stack[t_run].copy()
+    batch, hidden = h_stack.shape[1:]
+    out = np.empty((batch, steps, hidden), dtype=h_stack.dtype)
+    if t_run:
+        out[:, :t_run] = h_stack[1:].swapaxes(0, 1)
+    if t_run < steps:
+        out[:, t_run:] = h_stack[t_run][:, None, :]
+    return out
+
+
+def _final_state_grad(grad, t_run, return_sequences):
+    """The reverse loop's seed ``dh``: the gradient reaching the last
+    state, which every padded-tail slot of a trajectory carries."""
+    if return_sequences:
+        return grad[:, t_run:].sum(axis=1)
+    return grad.copy()
+
+
+def _batch_major(g_tm, steps):
+    """A time-major ``(t_run, batch, ...)`` input gradient as
+    ``(batch, steps, ...)``, zero over the steps the loop never ran."""
+    t_run = len(g_tm)
+    if t_run == steps:
+        return np.ascontiguousarray(g_tm.swapaxes(0, 1))
+    full = np.zeros((g_tm.shape[1], steps) + g_tm.shape[2:],
+                    dtype=g_tm.dtype)
+    full[:, :t_run] = g_tm.swapaxes(0, 1)
+    return full
 
 
 def _gru_scan_sample(rng):
@@ -1251,19 +1387,11 @@ def gru_scan(x, h0, w_ih, w_hh, b_ih, b_hh, lengths=None,
         raise ValueError(
             f"gru_scan shapes do not line up: x {x.shape}, h0 {h0.shape}, "
             f"w_ih {w_ih.shape}, w_hh {w_hh.shape}")
-    lengths = _check_scan_lengths(lengths, batch, steps)
-    t_run = steps if lengths is None else (int(lengths.max())
-                                           if lengths.size else 0)
-    min_len = 0 if lengths is None else int(lengths.min())
+    lengths, t_run, min_len = _check_scan_lengths(lengths, batch, steps)
 
-    # One big GEMM for the input projection of every timestep.  The
-    # time-major copy makes each per-step slice GX[t] contiguous and the
-    # flattened 2-D view free.
-    x_2d = np.ascontiguousarray(
-        x.data[:, :t_run].swapaxes(0, 1)).reshape(t_run * batch, num_in)
-    gx = _rowstable_matmul(x_2d, w_ih.data)
-    gx += b_ih.data
-    gx = gx.reshape(t_run, batch, 3 * hidden)
+    # One big GEMM for the input projection of every timestep.
+    x_2d = _time_major(x.data, t_run).reshape(t_run * batch, num_in)
+    gx = _project(x_2d, w_ih.data, b_ih.data, (t_run, batch, 3 * hidden))
     dt = gx.dtype
 
     needs_grad = is_grad_enabled() and any(
@@ -1289,26 +1417,15 @@ def gru_scan(x, h0, w_ih, w_hh, b_ih, b_hh, lengths=None,
             nhs[t] = gh[:, h2:]              # h @ W_hh_n + b_hh_n
         _gru_gates_into(gx[t], gh, h_prev,
                         gact[t] if needs_grad else scratch, h_new, tmp)
-        if lengths is not None and t >= min_len:
-            frozen = lengths <= t
+        frozen = _frozen_rows(lengths, min_len, t)
+        if frozen is not None:
             h_new[frozen] = h_prev[frozen]
 
-    if return_sequences:
-        out_data = np.empty((batch, steps, hidden), dtype=dt)
-        if t_run:
-            out_data[:, :t_run] = h_stack[1:].swapaxes(0, 1)
-        if t_run < steps:
-            out_data[:, t_run:] = h_stack[t_run][:, None, :]
-    else:
-        out_data = h_stack[t_run].copy()
+    out_data = _scan_output(h_stack, steps, return_sequences)
 
     def backward(grad):
         w_ih_d = w_ih.data
-        if return_sequences:
-            # Padded-tail slots all carry the frozen final state.
-            dh = grad[:, t_run:].sum(axis=1)
-        else:
-            dh = grad.copy()
+        dh = _final_state_grad(grad, t_run, return_sequences)
         dgx = np.empty((t_run, batch, 3 * hidden), dtype=dt)
         dgh = np.empty_like(dgx)
         om = np.empty((batch, hidden), dtype=dt)
@@ -1320,9 +1437,8 @@ def gru_scan(x, h0, w_ih, w_hh, b_ih, b_hh, lengths=None,
             dgx_t, dgh_t = dgx[t], dgh[t]
             _gru_gates_backward_into(dh, gact[t], nhs[t], h_stack[t],
                                      dgx_t, dgh_t, om)
-            frozen = None
-            if lengths is not None and t >= min_len:
-                frozen = lengths <= t
+            frozen = _frozen_rows(lengths, min_len, t)
+            if frozen is not None:
                 dgx_t[frozen] = 0.0
                 dgh_t[frozen] = 0.0
             carry = dgh_t @ w_hh_d.T
@@ -1335,12 +1451,7 @@ def gru_scan(x, h0, w_ih, w_hh, b_ih, b_hh, lengths=None,
         dgh_2d = dgh.reshape(-1, 3 * hidden)
         if x.requires_grad:
             dx_tm = (dgx_2d @ w_ih_d.T).reshape(t_run, batch, num_in)
-            if t_run == steps:
-                grad_x = np.ascontiguousarray(dx_tm.swapaxes(0, 1))
-            else:
-                grad_x = np.zeros((batch, steps, num_in), dtype=dt)
-                grad_x[:, :t_run] = dx_tm.swapaxes(0, 1)
-            x._accumulate(grad_x, owned=True)
+            x._accumulate(_batch_major(dx_tm, steps), owned=True)
         if h0.requires_grad:
             h0._accumulate(dh, owned=True)
         if w_ih.requires_grad:
@@ -1515,23 +1626,17 @@ def lstm_scan(x, h0, c0, w_ih, w_hh, bias, lengths=None,
                          f"got shape {x.shape}")
     batch, steps, num_in = x.shape
     hidden = h0.shape[-1]
-    h2, h3 = 2 * hidden, 3 * hidden
+    h2 = 2 * hidden
     if h0.shape != (batch, hidden) or c0.shape != (batch, hidden) \
             or w_ih.shape != (num_in, 4 * hidden) \
             or w_hh.shape != (hidden, 4 * hidden):
         raise ValueError(
             f"lstm_scan shapes do not line up: x {x.shape}, h0 {h0.shape}, "
             f"c0 {c0.shape}, w_ih {w_ih.shape}, w_hh {w_hh.shape}")
-    lengths = _check_scan_lengths(lengths, batch, steps)
-    t_run = steps if lengths is None else (int(lengths.max())
-                                           if lengths.size else 0)
-    min_len = 0 if lengths is None else int(lengths.min())
+    lengths, t_run, min_len = _check_scan_lengths(lengths, batch, steps)
 
-    x_2d = np.ascontiguousarray(
-        x.data[:, :t_run].swapaxes(0, 1)).reshape(t_run * batch, num_in)
-    gx = _rowstable_matmul(x_2d, w_ih.data)
-    gx += bias.data
-    gx = gx.reshape(t_run, batch, 4 * hidden)
+    x_2d = _time_major(x.data, t_run).reshape(t_run * batch, num_in)
+    gx = _project(x_2d, w_ih.data, bias.data, (t_run, batch, 4 * hidden))
     dt = gx.dtype
 
     needs_grad = is_grad_enabled() and any(
@@ -1554,40 +1659,20 @@ def lstm_scan(x, h0, c0, w_ih, w_hh, bias, lengths=None,
     for t in range(t_run):
         h_prev, c_prev = h_stack[t], c_stack[t]
         h_new, c_new = h_stack[t + 1], c_stack[t + 1]
-        g_act = gact[t] if needs_grad else scratch
         np.matmul(h_prev, w_hh_d, out=gh)
-        gt = gx[t]
-        gt += gh
-        _sigmoid_into(gt[:, :h2], out=g_act[:, :h2])       # i | f
-        g = np.tanh(gt[:, h2:h3], out=g_act[:, h2:h3])
-        o = _sigmoid_into(gt[:, h3:], out=g_act[:, h3:])
-        i = g_act[:, :hidden]
-        f = g_act[:, hidden:h2]
-        np.multiply(f, c_prev, out=c_new)
-        np.multiply(i, g, out=tmp)
-        c_new += tmp
-        tc = np.tanh(c_new, out=tcs[t] if needs_grad else scratch_tc)
-        np.multiply(o, tc, out=h_new)
-        if lengths is not None and t >= min_len:
-            frozen = lengths <= t
+        _lstm_gates_into(gx[t], gh, c_prev,
+                         gact[t] if needs_grad else scratch, c_new,
+                         tcs[t] if needs_grad else scratch_tc, h_new, tmp)
+        frozen = _frozen_rows(lengths, min_len, t)
+        if frozen is not None:
             h_new[frozen] = h_prev[frozen]
             c_new[frozen] = c_prev[frozen]
 
-    if return_sequences:
-        out_data = np.empty((batch, steps, hidden), dtype=dt)
-        if t_run:
-            out_data[:, :t_run] = h_stack[1:].swapaxes(0, 1)
-        if t_run < steps:
-            out_data[:, t_run:] = h_stack[t_run][:, None, :]
-    else:
-        out_data = h_stack[t_run].copy()
+    out_data = _scan_output(h_stack, steps, return_sequences)
 
     def backward(grad):
         w_ih_d = w_ih.data
-        if return_sequences:
-            dh = grad[:, t_run:].sum(axis=1)
-        else:
-            dh = grad.copy()
+        dh = _final_state_grad(grad, t_run, return_sequences)
         dc = np.zeros((batch, hidden), dtype=dt)
         dg = np.empty((t_run, batch, 4 * hidden), dtype=dt)
         om = np.empty((batch, hidden), dtype=dt)
@@ -1595,64 +1680,26 @@ def lstm_scan(x, h0, c0, w_ih, w_hh, bias, lengths=None,
         for t in range(t_run - 1, -1, -1):
             if return_sequences:
                 dh += grad[:, t]
-            g_act = gact[t]
-            i = g_act[:, :hidden]
-            f = g_act[:, hidden:h2]
-            g = g_act[:, h2:h3]
-            o = g_act[:, h3:]
-            tc = tcs[t]
-            c_prev = c_stack[t]
             dg_t = dg[t]
-            d_i = dg_t[:, :hidden]
-            d_f = dg_t[:, hidden:h2]
-            d_g = dg_t[:, h2:h3]
-            d_o = dg_t[:, h3:]
-            frozen = None
-            if lengths is not None and t >= min_len:
-                frozen = lengths <= t
-            np.multiply(dh, tc, out=d_o)             # d_o_pre
-            d_o *= o
-            np.subtract(1.0, o, out=om)
-            d_o *= om
-            np.multiply(tc, tc, out=scr)             # dh -> dc via tanh(c)
-            np.subtract(1.0, scr, out=scr)
-            scr *= o
-            scr *= dh
+            # A frozen row's h_t is not computed from c_t, so its dc
+            # passes the step unchanged.
+            frozen = _frozen_rows(lengths, min_len, t)
             if frozen is not None:
-                scr[frozen] = 0.0                    # frozen: h_t not from c_t
-            dc += scr
-            np.multiply(dc, g, out=d_i)              # d_i_pre
-            d_i *= i
-            np.subtract(1.0, i, out=om)
-            d_i *= om
-            np.multiply(dc, c_prev, out=d_f)         # d_f_pre
-            d_f *= f
-            np.subtract(1.0, f, out=om)
-            d_f *= om
-            np.multiply(g, g, out=d_g)               # d_g_pre
-            np.subtract(1.0, d_g, out=d_g)
-            d_g *= dc
-            d_g *= i
+                dc_frozen = dc[frozen].copy()
+            _lstm_gates_backward_into(dh, dc, gact[t], tcs[t], c_stack[t],
+                                      dg_t, om, scr)
             if frozen is not None:
                 dg_t[frozen] = 0.0
             carry = dg_t @ w_hh_d.T
+            dc *= gact[t, :, hidden:h2]
             if frozen is not None:
-                dc_frozen = dc[frozen].copy()
-                dc *= f
                 dc[frozen] = dc_frozen
                 carry[frozen] = dh[frozen]
-            else:
-                dc *= f
             dh = carry
         dg_2d = dg.reshape(-1, 4 * hidden)
         if x.requires_grad:
             dx_tm = (dg_2d @ w_ih_d.T).reshape(t_run, batch, num_in)
-            if t_run == steps:
-                grad_x = np.ascontiguousarray(dx_tm.swapaxes(0, 1))
-            else:
-                grad_x = np.zeros((batch, steps, num_in), dtype=dt)
-                grad_x[:, :t_run] = dx_tm.swapaxes(0, 1)
-            x._accumulate(grad_x, owned=True)
+            x._accumulate(_batch_major(dx_tm, steps), owned=True)
         if h0.requires_grad:
             h0._accumulate(dh, owned=True)
         if c0.requires_grad:
@@ -1750,16 +1797,13 @@ def grud_scan(values, mask, deltas, h0, input_decay, hidden_decay_w,
             f"h0 {h0.shape}, input_decay {input_decay.shape}, "
             f"hidden_decay_w {hidden_decay_w.shape}, w_ih {w_ih.shape}, "
             f"w_hh {w_hh.shape}")
-    lengths = _check_scan_lengths(lengths, batch, steps)
-    t_run = steps if lengths is None else (int(lengths.max())
-                                           if lengths.size else 0)
-    min_len = 0 if lengths is None else int(lengths.min())
+    lengths, t_run, min_len = _check_scan_lengths(lengths, batch, steps)
     dt = np.result_type(values.data, w_ih.data)
 
     # Hoisted input plane, all time-major: input decay, imputation, the
     # hidden-decay GEMM, and the gate projection of every timestep.
-    v_tm = np.ascontiguousarray(values.data[:, :t_run].swapaxes(0, 1))
-    d_tm = np.ascontiguousarray(deltas.data[:, :t_run].swapaxes(0, 1))
+    v_tm = _time_major(values.data, t_run)
+    d_tm = _time_major(deltas.data, t_run)
     m_tm = mask_data[:, :t_run].swapaxes(0, 1).astype(dt)
     gamma_x = d_tm * input_decay.data            # pre-activation ...
     np.maximum(gamma_x, 0.0, out=gamma_x)        # ... -> relu ...
@@ -1780,9 +1824,7 @@ def grud_scan(values, mask, deltas, h0, input_decay, hidden_decay_w,
     np.exp(gamma_h, out=gamma_h)
     gamma_h = gamma_h.reshape(t_run, batch, hidden)
     xm_2d = xm.reshape(t_run * batch, 2 * channels)
-    gx = _rowstable_matmul(xm_2d, w_ih.data)
-    gx += b_ih.data
-    gx = gx.reshape(t_run, batch, 3 * hidden)
+    gx = _project(xm_2d, w_ih.data, b_ih.data, (t_run, batch, 3 * hidden))
 
     needs_grad = is_grad_enabled() and any(
         p.requires_grad for p in (values, deltas, h0, input_decay,
@@ -1811,24 +1853,14 @@ def grud_scan(values, mask, deltas, h0, input_decay, hidden_decay_w,
         # z*γ_h h + (1-z)*n: the gate tail over the decayed state.
         _gru_gates_into(gx[t], gh, heff,
                         gact[t] if needs_grad else scratch, h_new, tmp)
-        if lengths is not None and t >= min_len:
-            frozen = lengths <= t
+        frozen = _frozen_rows(lengths, min_len, t)
+        if frozen is not None:
             h_new[frozen] = h_prev[frozen]
 
-    if return_sequences:
-        out_data = np.empty((batch, steps, hidden), dtype=dt)
-        if t_run:
-            out_data[:, :t_run] = h_stack[1:].swapaxes(0, 1)
-        if t_run < steps:
-            out_data[:, t_run:] = h_stack[t_run][:, None, :]
-    else:
-        out_data = h_stack[t_run].copy()
+    out_data = _scan_output(h_stack, steps, return_sequences)
 
     def backward(grad):
-        if return_sequences:
-            dh = grad[:, t_run:].sum(axis=1)
-        else:
-            dh = grad.copy()
+        dh = _final_state_grad(grad, t_run, return_sequences)
         dgx = np.empty((t_run, batch, 3 * hidden), dtype=dt)
         dgh = np.empty_like(dgx)
         dgamma_h = np.empty((t_run, batch, hidden), dtype=dt)
@@ -1844,9 +1876,8 @@ def grud_scan(values, mask, deltas, h0, input_decay, hidden_decay_w,
             dgx_t, dgh_t = dgx[t], dgh[t]
             _gru_gates_backward_into(dh, gact[t], nhs[t], heff_t,
                                      dgx_t, dgh_t, om)
-            frozen = None
-            if lengths is not None and t >= min_len:
-                frozen = lengths <= t
+            frozen = _frozen_rows(lengths, min_len, t)
+            if frozen is not None:
                 dgx_t[frozen] = 0.0
                 dgh_t[frozen] = 0.0
             carry = dgh_t @ w_hh_d.T                 # d(γ_h ⊙ h_prev)
@@ -1903,18 +1934,10 @@ def grud_scan(values, mask, deltas, h0, input_decay, hidden_decay_w,
                     grad_d = dd_h
                 else:
                     grad_d += dd_h
-
-        def scatter_bt(g_tm):
-            if t_run == steps:
-                return np.ascontiguousarray(g_tm.swapaxes(0, 1))
-            full = np.zeros((batch, steps, channels), dtype=dt)
-            full[:, :t_run] = g_tm.swapaxes(0, 1)
-            return full
-
         if values.requires_grad:
-            values._accumulate(scatter_bt(grad_v), owned=True)
+            values._accumulate(_batch_major(grad_v, steps), owned=True)
         if deltas.requires_grad:
-            deltas._accumulate(scatter_bt(grad_d), owned=True)
+            deltas._accumulate(_batch_major(grad_d, steps), owned=True)
         if h0.requires_grad:
             h0._accumulate(dh, owned=True)
         if w_ih.requires_grad:
@@ -1982,7 +2005,7 @@ def stagenet_scan(x, h0, c0, w_ih, w_hh, bias, stage_weight, stage_bias,
                          f"input, got shape {x.shape}")
     batch, steps, num_in = x.shape
     hidden = h0.shape[-1]
-    h2, h3 = 2 * hidden, 3 * hidden
+    h2 = 2 * hidden
     if h0.shape != (batch, hidden) or c0.shape != (batch, hidden) \
             or w_ih.shape != (num_in, 4 * hidden) \
             or w_hh.shape != (hidden, 4 * hidden) \
@@ -1991,21 +2014,13 @@ def stagenet_scan(x, h0, c0, w_ih, w_hh, bias, stage_weight, stage_bias,
             f"stagenet_scan shapes do not line up: x {x.shape}, "
             f"h0 {h0.shape}, c0 {c0.shape}, w_ih {w_ih.shape}, "
             f"w_hh {w_hh.shape}, stage_weight {stage_weight.shape}")
-    lengths = _check_scan_lengths(lengths, batch, steps)
-    t_run = steps if lengths is None else (int(lengths.max())
-                                           if lengths.size else 0)
-    min_len = 0 if lengths is None else int(lengths.min())
+    lengths, t_run, min_len = _check_scan_lengths(lengths, batch, steps)
 
     w_sh = stage_weight.data[:hidden]
     w_sx = stage_weight.data[hidden:]
-    x_2d = np.ascontiguousarray(
-        x.data[:, :t_run].swapaxes(0, 1)).reshape(t_run * batch, num_in)
-    gx = _rowstable_matmul(x_2d, w_ih.data)
-    gx += bias.data
-    gx = gx.reshape(t_run, batch, 4 * hidden)
-    sx = _rowstable_matmul(x_2d, w_sx)
-    sx += stage_bias.data
-    sx = sx.reshape(t_run, batch, 1)
+    x_2d = _time_major(x.data, t_run).reshape(t_run * batch, num_in)
+    gx = _project(x_2d, w_ih.data, bias.data, (t_run, batch, 4 * hidden))
+    sx = _project(x_2d, w_sx, stage_bias.data, (t_run, batch, 1))
     dt = gx.dtype
 
     needs_grad = is_grad_enabled() and any(
@@ -2033,45 +2048,25 @@ def stagenet_scan(x, h0, c0, w_ih, w_hh, bias, stage_weight, stage_bias,
     for t in range(t_run):
         h_prev, c_prev = h_stack[t], c_stack[t]
         h_new, c_new = h_stack[t + 1], c_stack[t + 1]
-        g_act = gact[t] if needs_grad else scratch
         np.matmul(h_prev, w_hh_d, out=gh)
-        gt = gx[t]
-        gt += gh
-        _sigmoid_into(gt[:, :h2], out=g_act[:, :h2])       # i | f
-        g = np.tanh(gt[:, h2:h3], out=g_act[:, h2:h3])
-        o = _sigmoid_into(gt[:, h3:], out=g_act[:, h3:])
-        i = g_act[:, :hidden]
-        f = g_act[:, hidden:h2]
         c_mid = cmid[t] if needs_grad else scratch_cm
-        np.multiply(f, c_prev, out=c_mid)
-        np.multiply(i, g, out=tmp)
-        c_mid += tmp
-        tc = np.tanh(c_mid, out=tcs[t] if needs_grad else scratch_tc)
-        np.multiply(o, tc, out=h_new)
+        _lstm_gates_into(gx[t], gh, c_prev,
+                         gact[t] if needs_grad else scratch, c_mid,
+                         tcs[t] if needs_grad else scratch_tc, h_new, tmp)
         np.matmul(h_new, w_sh, out=pbuf)                   # stage gate
         pbuf += sx[t]
         s = _sigmoid_into(pbuf, out=s_stack[t] if needs_grad
                           else scratch_s)
         np.multiply(s, c_mid, out=c_new)                   # re-calibrate
-        if lengths is not None and t >= min_len:
-            frozen = lengths <= t
+        frozen = _frozen_rows(lengths, min_len, t)
+        if frozen is not None:
             h_new[frozen] = h_prev[frozen]
             c_new[frozen] = c_prev[frozen]
 
-    if return_sequences:
-        out_data = np.empty((batch, steps, hidden), dtype=dt)
-        if t_run:
-            out_data[:, :t_run] = h_stack[1:].swapaxes(0, 1)
-        if t_run < steps:
-            out_data[:, t_run:] = h_stack[t_run][:, None, :]
-    else:
-        out_data = h_stack[t_run].copy()
+    out_data = _scan_output(h_stack, steps, return_sequences)
 
     def backward(grad):
-        if return_sequences:
-            dh = grad[:, t_run:].sum(axis=1)
-        else:
-            dh = grad.copy()
+        dh = _final_state_grad(grad, t_run, return_sequences)
         dc = np.zeros((batch, hidden), dtype=dt)
         dg = np.empty((t_run, batch, 4 * hidden), dtype=dt)
         dp = np.empty((t_run, batch, 1), dtype=dt)
@@ -2081,25 +2076,10 @@ def stagenet_scan(x, h0, c0, w_ih, w_hh, bias, stage_weight, stage_bias,
         for t in range(t_run - 1, -1, -1):
             if return_sequences:
                 dh += grad[:, t]
-            g_act = gact[t]
-            i = g_act[:, :hidden]
-            f = g_act[:, hidden:h2]
-            g = g_act[:, h2:h3]
-            o = g_act[:, h3:]
-            tc = tcs[t]
-            c_mid = cmid[t]
             s = s_stack[t]
-            c_prev = c_stack[t]
             dg_t, dp_t = dg[t], dp[t]
-            d_i = dg_t[:, :hidden]
-            d_f = dg_t[:, hidden:h2]
-            d_g = dg_t[:, h2:h3]
-            d_o = dg_t[:, h3:]
-            frozen = None
-            if lengths is not None and t >= min_len:
-                frozen = lengths <= t
             # Stage gate: c_t = s ⊙ c_mid with s = σ(h_t W_sh + sx).
-            np.multiply(dc, c_mid, out=scr)
+            np.multiply(dc, cmid[t], out=scr)
             ds = scr.sum(axis=-1, keepdims=True)
             np.subtract(1.0, s, out=dp_t)            # d p = ds·s·(1-s)
             dp_t *= s
@@ -2107,32 +2087,14 @@ def stagenet_scan(x, h0, c0, w_ih, w_hh, bias, stage_weight, stage_bias,
             np.multiply(dc, s, out=dcm)              # d c_mid (stage leg)
             dh_tot = dp_t @ w_sh.T                   # h_t feeds the gate
             dh_tot += dh
-            np.multiply(dh_tot, tc, out=d_o)         # d_o_pre
-            d_o *= o
-            np.subtract(1.0, o, out=om)
-            d_o *= om
-            np.multiply(tc, tc, out=scr)             # dh -> dc via tanh
-            np.subtract(1.0, scr, out=scr)
-            scr *= o
-            scr *= dh_tot
-            dcm += scr
-            np.multiply(dcm, g, out=d_i)             # d_i_pre
-            d_i *= i
-            np.subtract(1.0, i, out=om)
-            d_i *= om
-            np.multiply(dcm, c_prev, out=d_f)        # d_f_pre
-            d_f *= f
-            np.subtract(1.0, f, out=om)
-            d_f *= om
-            np.multiply(g, g, out=d_g)               # d_g_pre
-            np.subtract(1.0, d_g, out=d_g)
-            d_g *= dcm
-            d_g *= i
+            _lstm_gates_backward_into(dh_tot, dcm, gact[t], tcs[t],
+                                      c_stack[t], dg_t, om, scr)
+            frozen = _frozen_rows(lengths, min_len, t)
             if frozen is not None:
                 dg_t[frozen] = 0.0
                 dp_t[frozen] = 0.0
             carry = dg_t @ w_hh_d.T
-            dc_next = np.multiply(dcm, f)
+            dc_next = np.multiply(dcm, gact[t, :, hidden:h2])
             if frozen is not None:
                 carry[frozen] = dh[frozen]
                 dc_next[frozen] = dc[frozen]
@@ -2143,13 +2105,8 @@ def stagenet_scan(x, h0, c0, w_ih, w_hh, bias, stage_weight, stage_bias,
         if x.requires_grad:
             dx_2d = dg_2d @ w_ih.data.T
             dx_2d += dp_2d @ w_sx.T
-            dx_tm = dx_2d.reshape(t_run, batch, num_in)
-            if t_run == steps:
-                grad_x = np.ascontiguousarray(dx_tm.swapaxes(0, 1))
-            else:
-                grad_x = np.zeros((batch, steps, num_in), dtype=dt)
-                grad_x[:, :t_run] = dx_tm.swapaxes(0, 1)
-            x._accumulate(grad_x, owned=True)
+            x._accumulate(_batch_major(
+                dx_2d.reshape(t_run, batch, num_in), steps), owned=True)
         if h0.requires_grad:
             h0._accumulate(dh, owned=True)
         if c0.requires_grad:
@@ -2217,22 +2174,12 @@ def lstm_scan_step(x_t, h, c, w_ih, w_hh, bias):
     """One inference-only LSTM step, bit-identical to a :func:`lstm_scan`
     step; see :func:`gru_scan_step`.  Returns ``(h_new, c_new)``.
     """
-    hidden = h.shape[-1]
-    h2, h3 = 2 * hidden, 3 * hidden
     gh = np.matmul(h, w_hh)
     gt = _rowstable_matmul(x_t, w_ih)
     gt += bias
-    gt += gh
-    g_act = np.empty_like(gt)
-    _sigmoid_into(gt[:, :h2], out=g_act[:, :h2])       # i | f
-    g = np.tanh(gt[:, h2:h3], out=g_act[:, h2:h3])
-    o = _sigmoid_into(gt[:, h3:], out=g_act[:, h3:])
-    i = g_act[:, :hidden]
-    f = g_act[:, hidden:h2]
-    c_new = np.multiply(f, c)
-    c_new += np.multiply(i, g)
-    tc = np.tanh(c_new)
-    h_new = np.multiply(o, tc)
+    c_new = np.empty_like(c)
+    h_new = _lstm_gates_into(gt, gh, c, gt, c_new, np.empty_like(c),
+                             np.empty_like(h), np.empty_like(c))
     return h_new, c_new
 
 
@@ -2276,23 +2223,14 @@ def stagenet_scan_step(x_t, h, c, w_ih, w_hh, bias, stage_weight,
     ``(h_new, c_new)`` where ``c_new`` is the stage-recalibrated cell.
     """
     hidden = h.shape[-1]
-    h2, h3 = 2 * hidden, 3 * hidden
     w_sh = stage_weight[:hidden]
     w_sx = stage_weight[hidden:]
     gh = np.matmul(h, w_hh)
     gt = _rowstable_matmul(x_t, w_ih)
     gt += bias
-    gt += gh
-    g_act = np.empty_like(gt)
-    _sigmoid_into(gt[:, :h2], out=g_act[:, :h2])       # i | f
-    g = np.tanh(gt[:, h2:h3], out=g_act[:, h2:h3])
-    o = _sigmoid_into(gt[:, h3:], out=g_act[:, h3:])
-    i = g_act[:, :hidden]
-    f = g_act[:, hidden:h2]
-    c_mid = np.multiply(f, c)
-    c_mid += np.multiply(i, g)
-    tc = np.tanh(c_mid)
-    h_new = np.multiply(o, tc)
+    c_mid = np.empty_like(c)
+    h_new = _lstm_gates_into(gt, gh, c, gt, c_mid, np.empty_like(c),
+                             np.empty_like(h), np.empty_like(c))
     p = np.matmul(h_new, w_sh)                         # stage gate
     sxt = _rowstable_matmul(x_t, w_sx)
     sxt += stage_bias

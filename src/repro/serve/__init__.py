@@ -1,14 +1,13 @@
 """``repro.serve`` — the inference runtime, decoupled from training.
 
-Training's ``Trainer.predict_proba`` drags the whole training stack
+Inference through the training engine drags the whole training stack
 (optimizer, callbacks, gradient bookkeeping) into the inference path;
 this package is the serving half the ROADMAP's north star asks for.
 One configuration object drives every component:
 
 * :class:`ServeConfig` — every serving knob (batching, caching, capture,
   pool sizing, deadlines) in one frozen JSON-able dataclass, persisted
-  as the ``serve`` block of a run directory's ``config.json``.  The old
-  per-component keywords still work with a ``DeprecationWarning``.
+  as the ``serve`` block of a run directory's ``config.json``.
 * :class:`Predictor` — wraps any registry model + checkpoint behind one
   validated ``predict_proba`` / ``predict`` surface, running ``eval()``
   forwards under ``no_grad``.  :meth:`Predictor.load` rebuilds the exact
@@ -49,7 +48,7 @@ or in code::
     from repro.serve import Predictor, ReplicaPool, ServeConfig
 
     predictor = Predictor.load("runs/gru")
-    probs = predictor.predict_proba(dataset)        # == Trainer bit-for-bit
+    probs = predictor.predict_proba(dataset)        # == engine bit-for-bit
 
     session = predictor.start_stream()              # one ICU admission
     for t in range(48):

@@ -152,8 +152,6 @@ def _drain_aborted(state):
 
 
 def _serve_loop(state):
-    from ..metrics.probability import sigmoid_probs, softmax_probs
-    from .predictor import _stack_rows
     while True:
         item = state.queue.get()
         if item is _SENTINEL:
@@ -166,25 +164,16 @@ def _serve_loop(state):
             continue
         batch = _collect_batch(state, item)
         try:
-            stacked = (_stack_rows([p.rows for p in batch])
-                       if len(batch) > 1 else batch[0].rows)
-            # One padded forward per coalesced batch, regardless of
-            # the predictor's bulk chunk size.
-            logits = state.predictor.predict_logits(
-                stacked, pad_to=state.max_batch_size)
-            probabilities = (sigmoid_probs(logits) if logits.ndim == 1
-                             else softmax_probs(logits))
+            results = state.predictor.predict_coalesced(
+                [p.rows for p in batch], pad_to=state.max_batch_size)
         except Exception as error:  # fan the failure out to callers
             for pending in batch:
                 pending.error = error
                 pending.event.set()
             continue
         finished = perf_counter()
-        offset = 0
-        for pending in batch:
-            n = len(pending.rows)
-            pending.result = probabilities[offset:offset + n]
-            offset += n
+        for pending, result in zip(batch, results):
+            pending.result = result
             if state.metrics is not None:
                 state.metrics.record_request(
                     finished - pending.submitted_at)
@@ -205,9 +194,7 @@ class MicroBatcher:
         ``max_wait_ms`` is how long the worker holds an under-full
         batch open after its first request arrived (smaller favors
         latency, larger favors occupancy/throughput).  Defaults to the
-        predictor's own config.  The pre-ServeConfig keyword spellings
-        (``max_batch_size=``, ``max_wait_ms=``) still work with a
-        :class:`DeprecationWarning`.
+        predictor's own config.
     metrics:
         Optional :class:`~repro.serve.ServeMetrics`; receives one
         ``record_request`` per response (queue-to-response latency) on
@@ -216,8 +203,8 @@ class MicroBatcher:
     Use as a context manager, or call :meth:`start` / :meth:`stop`.
     """
 
-    def __init__(self, predictor, config=None, *, metrics=None, **legacy):
-        self.config = resolve_config(config, legacy, owner="MicroBatcher",
+    def __init__(self, predictor, config=None, *, metrics=None):
+        self.config = resolve_config(config, owner="MicroBatcher",
                                      base=getattr(predictor, "config", None))
         if self.config.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")

@@ -64,16 +64,15 @@ class PreprocessCache:
     config:
         A :class:`~repro.serve.ServeConfig`; ``cache_capacity`` bounds
         the number of cached admissions — the least recently used entry
-        is evicted beyond it.  The pre-ServeConfig ``capacity=`` keyword
-        still works with a :class:`DeprecationWarning`.
+        is evicted beyond it.
     metrics:
         Optional :class:`~repro.serve.ServeMetrics`; every lookup
         records a cache hit or miss.
     """
 
-    def __init__(self, standardizer, config=None, *, metrics=None, **legacy):
+    def __init__(self, standardizer, config=None, *, metrics=None):
         from .config import resolve_config
-        self.config = resolve_config(config, legacy, owner="PreprocessCache")
+        self.config = resolve_config(config, owner="PreprocessCache")
         if self.config.cache_capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.standardizer = standardizer

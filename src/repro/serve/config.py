@@ -10,15 +10,10 @@ dataclass that every serving component accepts as its first
 configuration argument, that round-trips through JSON, and that training
 run directories persist as the ``serve`` block of ``config.json`` (so
 ``Predictor.load`` restores a run's serving preferences).
-
-The old per-component keywords keep working through
-:func:`resolve_config` shims that emit a ``DeprecationWarning`` naming
-the new spelling; see docs/API.md for the migration table.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, fields, replace
 
 __all__ = ["ServeConfig", "resolve_config"]
@@ -139,56 +134,17 @@ class ServeConfig:
         return cls.from_dict(serve_block)
 
 
-# Legacy keyword -> ServeConfig field. Keys are the historical spellings
-# accepted by the pre-ServeConfig constructors.
-_LEGACY_SPELLINGS = {
-    "batch_size": "batch_size",
-    "max_batch_size": "max_batch_size",
-    "max_wait_ms": "max_wait_ms",
-    "capacity": "cache_capacity",
-    "cache_capacity": "cache_capacity",
-    "capture": "capture",
-    "max_captures": "max_captures",
-    "workers": "workers",
-    "deadline_ms": "deadline_ms",
-    "queue_depth": "queue_depth",
-}
+def resolve_config(config, owner, base=None):
+    """The :class:`ServeConfig` a serving component runs with.
 
-
-def resolve_config(config, legacy, owner, base=None):
-    """Merge a ``config`` argument and legacy keywords into a ServeConfig.
-
-    ``legacy`` is the ``**kwargs`` dict a serving constructor collected;
-    each recognized key maps onto its :class:`ServeConfig` field and
-    emits one ``DeprecationWarning`` naming the new spelling.  Unknown
-    keys raise ``TypeError`` exactly like a normal bad keyword would.
-    Passing both ``config`` and legacy keywords is ambiguous and raises.
-    ``base`` seeds the defaults when neither is given (e.g. a
-    MicroBatcher inheriting its predictor's config).
+    ``config`` when given (anything but a ServeConfig raises
+    ``TypeError``), else ``base`` — e.g. a MicroBatcher inheriting its
+    predictor's config, or a run directory's persisted ``serve`` block —
+    else the defaults.
     """
-    legacy = dict(legacy or {})
-    unknown = [k for k in legacy if k not in _LEGACY_SPELLINGS]
-    if unknown:
-        raise TypeError(f"{owner}() got unexpected keyword argument(s) "
-                        f"{sorted(unknown)}")
-    if config is not None and legacy:
-        raise TypeError(
-            f"{owner}() received both config=ServeConfig(...) and legacy "
-            f"keyword(s) {sorted(legacy)}; move them into the config")
-    if config is not None:
-        if not isinstance(config, ServeConfig):
-            raise TypeError(f"{owner}() config must be a ServeConfig, "
-                            f"got {type(config).__name__}")
-        return config
-    resolved = base if base is not None else ServeConfig()
-    if legacy:
-        spellings = ", ".join(
-            f"{key}= -> ServeConfig({_LEGACY_SPELLINGS[key]}=...)"
-            for key in sorted(legacy))
-        warnings.warn(
-            f"passing {sorted(legacy)} directly to {owner}() is deprecated; "
-            f"use {owner}(config=ServeConfig(...)) — {spellings}",
-            DeprecationWarning, stacklevel=3)
-        resolved = resolved.replace(
-            **{_LEGACY_SPELLINGS[k]: v for k, v in legacy.items()})
-    return resolved
+    if config is None:
+        return base if base is not None else ServeConfig()
+    if not isinstance(config, ServeConfig):
+        raise TypeError(f"{owner}() config must be a ServeConfig, "
+                        f"got {type(config).__name__}")
+    return config

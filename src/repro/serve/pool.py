@@ -85,8 +85,7 @@ def _worker_main(index, run_dir, checkpoint, config_payload, requests,
     ``max_batch_size`` rows) into one padded forward; streaming steps go
     through a per-admission :class:`SessionStore`.
     """
-    from ..metrics.probability import sigmoid_probs, softmax_probs
-    from .predictor import Predictor, _stack_rows
+    from .predictor import Predictor
     from .streaming import SessionStore
 
     pid = os.getpid()
@@ -107,23 +106,15 @@ def _worker_main(index, run_dir, checkpoint, config_payload, requests,
     def serve_predicts(batch):
         """One padded forward for all coalesced predict requests."""
         try:
-            rows_list = [rows for _, rows in batch]
-            stacked = (_stack_rows(rows_list) if len(rows_list) > 1
-                       else rows_list[0])
-            logits = predictor.predict_logits(
-                stacked, pad_to=config.max_batch_size)
-            probs = (sigmoid_probs(logits) if logits.ndim == 1
-                     else softmax_probs(logits))
+            results = predictor.predict_coalesced(
+                [rows for _, rows in batch], pad_to=config.max_batch_size)
         except Exception as error:
             for rid, _ in batch:
                 responses.put((rid, False, f"{type(error).__name__}: "
                                            f"{error}", pid))
             return
-        offset = 0
-        for rid, rows in batch:
-            n = len(rows)
-            responses.put((rid, True, probs[offset:offset + n], pid))
-            offset += n
+        for (rid, _), probs in zip(batch, results):
+            responses.put((rid, True, probs, pid))
 
     pending = None
     while True:
@@ -188,8 +179,7 @@ class ReplicaPool:
         ``queue_depth`` bounds in-flight requests, ``max_batch_size`` is
         each worker's padded forward shape, ``cache_capacity`` sizes the
         per-worker session stores.  Defaults to the run directory's
-        persisted ``serve`` block.  The pre-ServeConfig ``workers=``
-        keyword still works with a :class:`DeprecationWarning`.
+        persisted ``serve`` block.
     metrics:
         Optional :class:`~repro.serve.ServeMetrics`; per-request
         latencies accumulate live, worker-side counters merge in at
@@ -201,7 +191,7 @@ class ReplicaPool:
     """
 
     def __init__(self, run_dir, checkpoint="best", config=None, *,
-                 metrics=None, **legacy):
+                 metrics=None):
         self.run_dir = Path(run_dir)
         self.checkpoint = checkpoint
         base = None
@@ -209,8 +199,7 @@ class ReplicaPool:
         if config_path.exists():
             base = ServeConfig.from_run_config(
                 json.loads(config_path.read_text()))
-        self.config = resolve_config(config, legacy, owner="ReplicaPool",
-                                     base=base)
+        self.config = resolve_config(config, owner="ReplicaPool", base=base)
         self.metrics = metrics if metrics is not None else ServeMetrics(
             label=f"pool-{self.run_dir.name}")
         self.workers = self.config.workers

@@ -10,8 +10,8 @@ touched; forwards run in ``eval()`` mode under ``no_grad``.
 Two batching disciplines, both bit-reproducible:
 
 * **bulk** (``predict_proba(dataset)``) — chunks the dataset in order
-  with the training batch size, which reproduces
-  ``Trainer.predict_proba`` bit-for-bit (same shapes, same GEMMs);
+  with the training batch size, which reproduces the training engine's
+  ``predict_proba`` bit-for-bit (same shapes, same GEMMs);
 * **fixed-shape** (``pad_to=k``) — pads every forward to exactly ``k``
   rows, making each admission's output independent of which other
   admissions shared its batch.  BLAS kernels are chosen per GEMM shape,
@@ -84,13 +84,11 @@ class Predictor:
     config:
         A :class:`~repro.serve.ServeConfig`.  The fields this component
         reads: ``batch_size`` (bulk-prediction chunk size; matching the
-        training batch size reproduces ``Trainer.predict_proba``
-        bit-for-bit), ``capture`` (route forwards through inference
+        training batch size reproduces the training engine's
+        ``predict_proba`` bit-for-bit), ``capture`` (route forwards through inference
         graph capture, :func:`repro.nn.capture.trace` — ``None`` means
         off here), and ``max_captures`` (shape budget for captured
         graphs; bulk prediction needs two, the micro-batcher one).
-        Legacy keywords (``batch_size=``, ``capture=``,
-        ``max_captures=``) still work via a ``DeprecationWarning`` shim.
     spec:
         Optional :class:`~repro.baselines.ModelSpec`; enables feature-
         count validation and round-trip introspection.  Defaults to the
@@ -100,15 +98,14 @@ class Predictor:
         batch is recorded into it.
     """
 
-    def __init__(self, model, config=None, *, spec=None, metrics=None,
-                 **legacy):
+    def __init__(self, model, config=None, *, spec=None, metrics=None):
         for method in ("predict_logits", "predict_proba"):
             if not callable(getattr(model, method, None)):
                 raise TypeError(
                     f"model {type(model).__name__} does not implement the "
                     f"inference protocol ({method}); registry models gain "
                     "it from repro.nn.InferenceMixin")
-        self.config = resolve_config(config, legacy, owner="Predictor")
+        self.config = resolve_config(config, owner="Predictor")
         self.model = model
         self.batch_size = self.config.batch_size
         self.spec = spec if spec is not None else getattr(model, "spec", None)
@@ -244,6 +241,23 @@ class Predictor:
             outputs.append(sigmoid_probs(logits) if logits.ndim == 1
                            else softmax_probs(logits))
         return np.concatenate(outputs)
+
+    def predict_coalesced(self, rows_list, pad_to):
+        """Probabilities for several requests from one padded forward.
+
+        Stacks the requests' rows and runs a single forward of exactly
+        ``pad_to`` rows, whatever the bulk chunk size, so each request's
+        slice is bit-identical to serving it alone.  Returns one
+        probability array per request, in order.
+        """
+        from ..metrics.probability import sigmoid_probs, softmax_probs
+        stacked = (_stack_rows(rows_list) if len(rows_list) > 1
+                   else rows_list[0])
+        logits = self.predict_logits(stacked, pad_to=pad_to)
+        probabilities = (sigmoid_probs(logits) if logits.ndim == 1
+                         else softmax_probs(logits))
+        return np.split(probabilities,
+                        np.cumsum([len(rows) for rows in rows_list[:-1]]))
 
     def predict(self, batch, threshold=0.5):
         """Hard class predictions (thresholded binary or argmax)."""

@@ -156,25 +156,6 @@ class Trainer:
             self.engine.resume()
         return self.engine.fit(train, validation)
 
-    def predict_proba(self, dataset):
-        """Predicted probabilities per admission (engine pass-through).
-
-        .. deprecated::
-            Inference through the trainer drags the whole training stack
-            along.  Prefer ``model.predict_proba(batch)`` (the shared
-            :class:`repro.nn.InferenceMixin` protocol) or
-            :class:`repro.serve.Predictor` for checkpoint-backed,
-            micro-batched serving; both return bit-identical
-            probabilities.
-        """
-        import warnings
-        warnings.warn(
-            "Trainer.predict_proba is deprecated; use "
-            "model.predict_proba(batch) or repro.serve.Predictor for "
-            "inference (bit-identical outputs)",
-            DeprecationWarning, stacklevel=2)
-        return self.engine.predict_proba(dataset)
-
     def evaluate(self, dataset):
         """Task metrics of the current weights (engine pass-through)."""
         return self.engine.evaluate(dataset)

@@ -71,6 +71,33 @@ def _assert_paths_agree(layer, oracle, x, tol, lengths=None):
         assert _max_diff(grads_scan[name], grads_step[name]) < tol, name
 
 
+_LENGTH_AWARE_SCANS = ["gru_scan", "lstm_scan", "grud_scan",
+                       "stagenet_scan"]
+
+
+def _final_state(scan, x, h0, lengths):
+    """Final hidden state of ``ops.<scan>`` over ``x`` ``(batch, steps,
+    3)`` from ``h0`` ``(batch, 4)`` (also the initial cell), with fixed
+    random weights; GRU-D sees every value observed."""
+    rng = np.random.default_rng(90)
+
+    def w(*shape):
+        return rng.normal(size=shape) * 0.5
+
+    if scan == "gru_scan":
+        return ops.gru_scan(x, h0, w(3, 12), w(4, 12), w(12), w(12),
+                            lengths=lengths, return_sequences=False)
+    if scan == "lstm_scan":
+        return ops.lstm_scan(x, h0, h0, w(3, 16), w(4, 16), w(16),
+                             lengths=lengths, return_sequences=False)
+    if scan == "grud_scan":
+        return ops.grud_scan(x, np.ones_like(x), np.ones_like(x), h0,
+                             w(3), w(3, 4), w(4), w(6, 12), w(4, 12),
+                             w(12), w(12), lengths=lengths)
+    return ops.stagenet_scan(x, h0, h0, w(3, 16), w(4, 16), w(16), w(7, 1),
+                             w(1), lengths=lengths, return_sequences=False)
+
+
 class TestGRUScanEquivalence:
     @pytest.mark.parametrize("batch,steps", [(1, 6), (3, 6), (4, 1)])
     def test_matches_step_path(self, batch, steps, TOL):
@@ -134,14 +161,14 @@ class TestGRUScanEquivalence:
         full = layer(Tensor(x, requires_grad=True)).data
         np.testing.assert_array_equal(lean, full)
 
-    def test_zero_length_row_keeps_initial_state(self):
+    @pytest.mark.parametrize("scan", _LENGTH_AWARE_SCANS)
+    def test_zero_length_row_keeps_initial_state(self, scan):
         rng = np.random.default_rng(9)
-        layer = GRU(3, 4, np.random.default_rng(9),
-                    return_sequences=False)
         x = rng.normal(size=(2, 4, 3))
-        out = layer(Tensor(x), lengths=np.array([0, 4])).data
-        np.testing.assert_array_equal(out[0], np.zeros(4))
-        assert np.any(out[1] != 0.0)
+        h0 = rng.normal(size=(2, 4))
+        out = _final_state(scan, x, h0, lengths=np.array([0, 4])).data
+        np.testing.assert_array_equal(out[0], Tensor(h0).data[0])
+        assert np.any(out[1] != out[0])
 
 
 class TestLSTMScanEquivalence:
@@ -167,6 +194,23 @@ class TestLSTMScanEquivalence:
         x = rng.normal(size=(2, 12, 5))[:, ::2]
         assert not x.flags["C_CONTIGUOUS"]
         _assert_paths_agree(layer, lstm_reference, x, TOL)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_streamed_steps_reproduce_every_prefix(self, batch,
+                                                   dtype_policy):
+        """``LSTM.stream_step`` fed one timestep at a time reaches the
+        layer's final state bit for bit after every prefix."""
+        rng = np.random.default_rng(160 + batch)
+        layer = LSTM(3, 4, np.random.default_rng(16),
+                     return_sequences=False)
+        x = rng.normal(size=(batch, 6, 3)).astype(dtype_policy)
+        state = layer.initial_state(batch)
+        for t in range(1, x.shape[1] + 1):
+            state = layer.stream_step(x[:, t - 1], state)
+            assert state[0].dtype == dtype_policy
+            with no_grad():
+                full = layer(Tensor(x[:, :t])).data
+            np.testing.assert_array_equal(state[0], full)
 
 
 class _Batch:
@@ -352,10 +396,11 @@ class TestScanOpValidation:
                                      np.array([1, 7]),      # > steps
                                      np.array([-1, 2])])    # negative
     def test_rejects_bad_lengths(self, bad):
-        with pytest.raises(ValueError, match="lengths"):
-            ops.gru_scan(np.zeros((2, 5, 3)), np.zeros((2, 4)),
-                         np.zeros((3, 12)), np.zeros((4, 12)),
-                         np.zeros(12), np.zeros(12), lengths=bad)
+        # Every length-aware scan, in one test so its ids stay put.
+        for scan in _LENGTH_AWARE_SCANS:
+            with pytest.raises(ValueError, match="lengths"):
+                _final_state(scan, np.zeros((2, 5, 3)), np.zeros((2, 4)),
+                             lengths=bad)
 
     def test_grud_scan_rejects_mismatched_mask(self):
         with pytest.raises(ValueError, match="grud_scan mask"):

@@ -189,10 +189,9 @@ class TestGarbageCollection:
             # drop below deterministically lands while requests queue.
             config = ServeConfig(max_batch_size=1, max_wait_ms=0)
 
-            def predict_logits(self, request_rows, pad_to=None):
+            def predict_coalesced(self, rows_list, pad_to):
                 time.sleep(0.5)
-                return predictor.predict_logits(request_rows,
-                                                pad_to=pad_to)
+                return predictor.predict_coalesced(rows_list, pad_to)
 
         batcher = MicroBatcher(SlowPredictor())
         batcher.start()

@@ -1,13 +1,12 @@
-"""ServeConfig: validation, serialization, legacy shims, persistence."""
+"""ServeConfig: validation, serialization, resolution, persistence."""
 
 import json
 import shutil
-import warnings
 
 import pytest
 
-from repro.serve import (MicroBatcher, Predictor, PreprocessCache,
-                         ServeConfig, ServeMetrics, resolve_config)
+from repro.serve import (MicroBatcher, Predictor, ServeConfig, ServeMetrics,
+                         resolve_config)
 
 pytestmark = pytest.mark.serve
 
@@ -79,81 +78,27 @@ class TestSerialization:
 class TestResolveConfig:
     def test_explicit_config_passes_through(self):
         config = ServeConfig(workers=7)
-        assert resolve_config(config, {}, owner="X") is config
-
-    def test_legacy_kwargs_warn_and_map(self):
-        with pytest.warns(DeprecationWarning, match="cache_capacity"):
-            resolved = resolve_config(None, {"capacity": 9}, owner="X")
-        assert resolved.cache_capacity == 9
-
-    def test_unknown_legacy_kwarg_is_a_type_error(self):
-        with pytest.raises(TypeError, match="banana"):
-            resolve_config(None, {"banana": 1}, owner="X")
-
-    def test_config_plus_legacy_is_ambiguous(self):
-        with pytest.raises(TypeError, match="both"):
-            resolve_config(ServeConfig(), {"batch_size": 8}, owner="X")
+        assert resolve_config(config, owner="X") is config
 
     def test_non_serveconfig_config_is_a_type_error(self):
         with pytest.raises(TypeError, match="ServeConfig"):
-            resolve_config({"batch_size": 8}, {}, owner="X")
+            resolve_config({"batch_size": 8}, owner="X")
 
     def test_base_seeds_defaults(self):
         base = ServeConfig(max_batch_size=4)
-        assert resolve_config(None, {}, owner="X", base=base) == base
-        with pytest.warns(DeprecationWarning):
-            resolved = resolve_config(None, {"max_wait_ms": 9.0}, owner="X",
-                                      base=base)
-        assert resolved.max_batch_size == 4
-        assert resolved.max_wait_ms == 9.0
+        assert resolve_config(None, owner="X", base=base) == base
+        assert resolve_config(None, owner="X") == ServeConfig()
 
 
 class TestDeprecatedComponentKwargs:
-    """Old per-component keywords keep working, with a warning."""
-
-    def test_predictor_batch_size_kwarg(self, trained_run):
-        trainer, _ = trained_run
-        with pytest.warns(DeprecationWarning, match="batch_size"):
-            predictor = Predictor(trainer.model, batch_size=8)
-        assert predictor.batch_size == 8
-        assert predictor.config.batch_size == 8
-
-    def test_predictor_capture_kwarg(self, trained_run):
-        trainer, _ = trained_run
-        with pytest.warns(DeprecationWarning, match="capture"):
-            predictor = Predictor(trainer.model, capture=True,
-                                  max_captures=2)
-        assert predictor.capture is True
-        assert predictor.max_captures == 2
-
-    def test_batcher_legacy_kwargs(self, trained_run):
-        trainer, _ = trained_run
-        predictor = Predictor(trainer.model)
-        with pytest.warns(DeprecationWarning, match="max_batch_size"):
-            batcher = MicroBatcher(predictor, max_batch_size=8,
-                                   max_wait_ms=1.0)
-        assert batcher.max_batch_size == 8
-        assert batcher.max_wait_ms == 1.0
+    """The per-component keywords are gone: each component reads its
+    ServeConfig, and a MicroBatcher without one takes its predictor's."""
 
     def test_batcher_inherits_predictor_config(self, trained_run):
         trainer, _ = trained_run
         predictor = Predictor(trainer.model,
                               ServeConfig(max_batch_size=5))
         assert MicroBatcher(predictor).max_batch_size == 5
-
-    def test_cache_capacity_kwarg(self, serve_splits):
-        with pytest.warns(DeprecationWarning, match="cache_capacity"):
-            cache = PreprocessCache(serve_splits.standardizer, capacity=3)
-        assert cache.capacity == 3
-        with pytest.raises(ValueError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                PreprocessCache(serve_splits.standardizer, capacity=0)
-
-    def test_config_and_legacy_together_raise(self, trained_run):
-        trainer, _ = trained_run
-        with pytest.raises(TypeError, match="both"):
-            Predictor(trainer.model, ServeConfig(), batch_size=8)
 
 
 class TestRunDirPersistence:

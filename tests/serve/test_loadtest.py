@@ -107,17 +107,6 @@ class TestConfigResolution:
         assert config.queue_depth == 7
         assert config.batch_size == 16
 
-    def test_legacy_kwargs_overlay_the_persisted_block(
-            self, persisted_run_dir, monkeypatch):
-        captured, stop = self._capture_pool_config(monkeypatch)
-        with pytest.warns(DeprecationWarning, match="workers"):
-            with pytest.raises(stop):
-                run_loadtest(persisted_run_dir, num_requests=1,
-                             num_streams=1, stream_steps=1, workers=5)
-        config = captured["config"]
-        assert config.workers == 5
-        assert config.queue_depth == 7  # persisted value survives
-
     def test_explicit_config_wins_outright(self, persisted_run_dir,
                                            monkeypatch):
         captured, stop = self._capture_pool_config(monkeypatch)

@@ -55,7 +55,7 @@ class TestMulticlassTrainer:
         trainer = Trainer(model, "phenotype", max_epochs=1, patience=1,
                           num_classes=NUM_CLASSES)
         trainer.fit(pheno_splits.train, pheno_splits.validation)
-        probs = trainer.predict_proba(pheno_splits.test)
+        probs = trainer.engine.predict_proba(pheno_splits.test)
         assert probs.shape == (len(pheno_splits.test), NUM_CLASSES)
         assert np.allclose(probs.sum(axis=1), 1.0)
 

@@ -82,7 +82,7 @@ class TestPrediction:
         model = LogisticRegression(NUM_FEATURES, np.random.default_rng(6))
         trainer = Trainer(model, "mortality", max_epochs=1, patience=1)
         trainer.fit(separable_splits.train, separable_splits.validation)
-        probs = trainer.predict_proba(separable_splits.test)
+        probs = trainer.engine.predict_proba(separable_splits.test)
         assert probs.shape == (len(separable_splits.test),)
         assert np.all((probs >= 0) & (probs <= 1))
 
@@ -91,20 +91,9 @@ class TestPrediction:
         model = LogisticRegression(NUM_FEATURES, np.random.default_rng(7))
         trainer = Trainer(model, "mortality", max_epochs=1, patience=1)
         trainer.fit(separable_splits.train, separable_splits.validation)
-        a = trainer.predict_proba(separable_splits.test)
-        b = trainer.predict_proba(separable_splits.test)
+        a = trainer.engine.predict_proba(separable_splits.test)
+        b = trainer.engine.predict_proba(separable_splits.test)
         assert np.array_equal(a, b)
-
-    def test_predict_proba_is_deprecated_but_delegates(self,
-                                                       separable_splits):
-        """The old surface warns once per call and matches the engine."""
-        model = LogisticRegression(NUM_FEATURES, np.random.default_rng(6))
-        trainer = Trainer(model, "mortality", max_epochs=1, patience=1)
-        trainer.fit(separable_splits.train, separable_splits.validation)
-        with pytest.warns(DeprecationWarning, match="Predictor"):
-            deprecated = trainer.predict_proba(separable_splits.test)
-        replacement = trainer.engine.predict_proba(separable_splits.test)
-        np.testing.assert_array_equal(deprecated, replacement)
 
     def test_los_task(self, separable_splits):
         model = LogisticRegression(NUM_FEATURES, np.random.default_rng(8))
