@@ -93,7 +93,7 @@ class Dipole(Module, InferenceMixin):
         return logits, None
 
     # -- streaming inference (serve tier) ------------------------------
-    stream_incremental = True
+    stream_native = True
 
     def stream_begin(self, batch_size):
         return {

@@ -99,7 +99,7 @@ class SAnD(Module, InferenceMixin):
         return (ops.matmul(flat, self.weight) + self.bias).reshape(-1)
 
     # -- streaming inference (serve tier) ------------------------------
-    stream_incremental = True
+    stream_native = True
 
     def stream_begin(self, batch_size):
         return {"rows": []}

@@ -227,23 +227,23 @@ def benchmark_streaming(model_name="GRU", num_admissions=64, seed=0,
     ``predict_logits`` over the growing prefix at each step (what the
     batch serving path costs, O(t) recurrence per observation); the
     *streaming* lane feeds the same observations through one
-    :class:`~repro.serve.StreamingSession` (O(1) state update for
-    natively streaming models, cached attention state for incremental
-    ones).  Both lanes score the identical ``num_steps`` observations of
-    one admission, ``repeats`` times; the reported per-step latency is
-    the overall mean, and the lanes' probabilities are verified
-    bit-identical at every prefix first.
+    :class:`~repro.serve.StreamingSession` (the model's own cached
+    state for natively streaming models, exact prefix replay
+    otherwise).  Both lanes score the identical ``num_steps``
+    observations of one admission, ``repeats`` times; the reported
+    per-step latency is the overall mean, and the lanes' probabilities
+    are verified bit-identical at every prefix first.
 
     Models that reject short prefixes (attention over ``t - 1`` earlier
     steps needs at least two) are timed from their first served prefix;
     the rejected prefixes are skipped in both lanes identically.
 
     Returns ``{"config": ..., "recompute_seconds_per_step": ...,
-    "streaming_seconds_per_step": ..., "speedup": ..., "native": ...,
-    "incremental": ...}``; the ``repro bench --streaming`` CLI lane
-    persists it as ``BENCH_*.json``.
+    "streaming_seconds_per_step": ..., "speedup": ..., "native": ...}``;
+    the ``repro bench --streaming`` CLI lane persists it as
+    ``BENCH_*.json``.
     """
-    from ..metrics.probability import sigmoid_probs, softmax_probs
+    from ..metrics.probability import probabilities
     from ..nn.dtype import autocast, get_default_dtype, resolve_dtype
     from ..serve import Predictor, StreamingSession
 
@@ -258,9 +258,7 @@ def benchmark_streaming(model_name="GRU", num_admissions=64, seed=0,
         num_steps = min(num_steps, row.num_time_steps)
 
         def prefix_probs(t):
-            logits = predictor.predict_logits(row.truncate(t))
-            return (sigmoid_probs(logits) if logits.ndim == 1
-                    else softmax_probs(logits))
+            return probabilities(predictor.predict_logits(row.truncate(t)))
 
         def step_session(session, t):
             return session.step(row.values[:, t - 1], row.mask[:, t - 1],
@@ -323,7 +321,6 @@ def benchmark_streaming(model_name="GRU", num_admissions=64, seed=0,
             "num_parameters": model.num_parameters(),
         },
         "native": bool(getattr(model, "stream_native", False)),
-        "incremental": bool(getattr(model, "stream_incremental", False)),
         "recompute_seconds_per_step": recompute,
         "streaming_seconds_per_step": streaming,
         "speedup": (recompute / streaming if streaming > 0

@@ -530,12 +530,7 @@ def _cmd_bench_streaming(args, out):
         model_name=args.model, num_admissions=args.admissions,
         seed=args.seed, repeats=args.repeats, dtype=args.dtype)
     config = result["config"]
-    if result["native"]:
-        mode = "native O(1) state"
-    elif result["incremental"]:
-        mode = "incremental attention state"
-    else:
-        mode = "exact prefix replay"
+    mode = "native state" if result["native"] else "exact prefix replay"
     out.write(f"{args.model} streaming inference ({config['dtype']}, "
               f"{config['num_steps']} steps, {mode})\n")
     out.write(f"  recompute/step: "
@@ -548,7 +543,6 @@ def _cmd_bench_streaming(args, out):
         payload = dict(config)
         payload.update(
             native=result["native"],
-            incremental=result["incremental"],
             recompute_seconds_per_step=result["recompute_seconds_per_step"],
             streaming_seconds_per_step=result["streaming_seconds_per_step"],
             speedup=result["speedup"],
@@ -641,20 +635,12 @@ def _resolve_serve_config(args, *fields):
     ``None`` means "no explicit choice" — ``Predictor.load`` (and the
     pool) then restore the persisted block without rewriting it.
     """
-    import json as json_module
-    from pathlib import Path
-
     from .serve import ServeConfig
 
     overrides = _serve_config_overrides(args, *fields)
     if not overrides:
         return None
-    config_path = Path(args.run_dir) / "config.json"
-    base = ServeConfig()
-    if config_path.exists():
-        base = ServeConfig.from_run_config(
-            json_module.loads(config_path.read_text()))
-    return base.replace(**overrides)
+    return ServeConfig.from_run_dir(args.run_dir).replace(**overrides)
 
 
 def _cmd_predict(args, out):

@@ -174,7 +174,7 @@ class ELDANet(Module, InferenceMixin):
         return self.logits(batch.values, ever_observed=batch.ever_observed)
 
     # -- streaming inference (serve tier) ------------------------------
-    stream_incremental = True
+    stream_native = True
 
     def _stream_gru(self):
         """The recurrent encoder the streaming state advances through."""

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from ..nn.backend import xp as np
 
-__all__ = ["softmax_probs", "sigmoid_probs", "multiclass_ce",
-           "evaluate_multiclass"]
+__all__ = ["softmax_probs", "sigmoid_probs", "probabilities",
+           "multiclass_ce", "evaluate_multiclass"]
 
 _CE_EPS = 1e-12
 
@@ -43,6 +43,14 @@ def sigmoid_probs(logits):
     """Element-wise logistic sigmoid of a logits array."""
     logits = _as_float(logits)
     return 1.0 / (1.0 + np.exp(-logits))
+
+
+def probabilities(logits):
+    """Probabilities from a model head's logits: the sigmoid of 1-D
+    (binary) logits, the row-wise softmax of 2-D (multi-class) logits."""
+    if logits.ndim == 1:
+        return sigmoid_probs(logits)
+    return softmax_probs(logits)
 
 
 def multiclass_ce(probs, labels):

@@ -14,7 +14,6 @@ exhaustive test sweep gradchecks mechanically (see docs/CORRECTNESS.md).
 
 from . import backend, capture, debug, dtype, gradcheck, init, losses, ops, \
     schedules
-from .backend import available_backends, get_backend, set_backend
 from .capture import (CaptureBatch, CaptureError, CaptureShapeError,
                       CaptureUnsupportedError, CapturedGraph)
 from .capture import trace as capture_trace
@@ -35,7 +34,6 @@ __all__ = [
     "save_weights", "load_weights", "save_state", "load_state",
     "detect_anomaly", "AnomalyError", "audit_backward",
     "check_module", "GradcheckFailure",
-    "get_backend", "set_backend", "available_backends",
     "CaptureBatch", "CapturedGraph", "capture_trace",
     "CaptureError", "CaptureShapeError", "CaptureUnsupportedError",
     "ops", "init", "losses", "schedules", "gradcheck", "debug", "dtype",

@@ -1,153 +1,25 @@
-"""Array-API backend layer: every array op in the stack routes through here.
+"""Array-API seam: every array op in the stack routes through here.
 
 The rest of ``repro`` (ops, tensor, layers, baselines, serve, train,
-metrics, experiments) performs its array math against :data:`xp`, a lazy
-namespace proxy over the *active backend* — it never imports ``numpy``
-directly.  The only sanctioned direct-numpy modules are this one, the
-precision policy (:mod:`repro.nn.dtype`), the serialization edges
-(``.npz`` I/O is a numpy file format), and the data/bench planes, whose
-on-disk byte contracts are pinned to numpy; the lint gate in
-``tests/test_no_naked_numpy.py`` keeps that seam from eroding.
+metrics, experiments) performs its array math against :data:`xp` — it
+never imports ``numpy`` directly.  The only sanctioned direct-numpy
+modules are this one, the precision policy (:mod:`repro.nn.dtype`), the
+serialization edges (``.npz`` I/O is a numpy file format), and the
+data/bench planes, whose on-disk byte contracts are pinned to numpy; the
+lint gate in ``tests/test_no_naked_numpy.py`` keeps that seam from
+eroding.
 
-Backends
---------
-A backend is a named :class:`Backend` instance exposing ``xp``, an
-array-API-compatible namespace (``numpy`` itself for the default
-:class:`NumpyBackend`).  The active backend is chosen once at import
-from the ``REPRO_BACKEND`` environment variable (default ``"numpy"``)
-and can be switched at runtime with :func:`set_backend` — e.g. an
-accelerated drop-in namespace registered via :func:`register_backend`.
-Switching backends mid-model is on the caller: arrays created under the
-old namespace are not migrated.
-
-The proxy
----------
-:data:`xp` resolves attributes from the active backend's namespace on
-first access and caches them in its own ``__dict__``, so steady-state
-attribute lookup costs exactly a module attribute lookup — the autodiff
-hot path pays nothing for the indirection.  :func:`set_backend` clears
-the cache, so the switch takes effect everywhere at once.
+:data:`xp` is the numpy module itself, bound at import: there is one
+array backend, so attribute lookup costs exactly a module attribute read
+and every ``xp.<name>`` is the numpy object of that name.  The seam is
+the import discipline the lint gate enforces, not a runtime switch — a
+faster kernel for one op replaces that op's implementation in
+:mod:`repro.nn.ops`, where the gradcheck and bit-identity suites already
+pin it (see docs/BACKEND.md).
 """
 
 from __future__ import annotations
 
-import os
+import numpy as xp
 
-import numpy
-
-__all__ = ["Backend", "NumpyBackend", "register_backend", "available_backends",
-           "get_backend", "set_backend", "xp"]
-
-
-class Backend:
-    """A named array-API provider.
-
-    Parameters
-    ----------
-    name:
-        Registry key (``REPRO_BACKEND`` value / :func:`set_backend` arg).
-    xp:
-        The array namespace: a module (or module-like object) exposing
-        the numpy API surface the stack uses (``ndarray``, ufuncs,
-        ``linalg``-free dense math, ``random.default_rng``, dtype
-        constructors).  Numpy itself satisfies this trivially; an
-        accelerated backend supplies a compatible namespace.
-    """
-
-    def __init__(self, name, xp):
-        self.name = str(name)
-        self.xp = xp
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.name!r})"
-
-
-class NumpyBackend(Backend):
-    """The default backend: plain numpy, bit-for-bit the historical
-    behavior of the stack."""
-
-    def __init__(self):
-        super().__init__("numpy", numpy)
-
-
-_BACKENDS = {}
-
-
-def register_backend(backend):
-    """Register ``backend`` under its name; returns the backend.
-
-    Re-registering a name replaces the previous entry (useful for tests
-    that stub an alternative namespace).
-    """
-    if not isinstance(backend, Backend):
-        raise TypeError(f"expected a Backend, got {type(backend).__name__}")
-    _BACKENDS[backend.name] = backend
-    return backend
-
-
-def available_backends():
-    """Sorted names of the registered backends."""
-    return sorted(_BACKENDS)
-
-
-register_backend(NumpyBackend())
-
-
-class _NamespaceProxy:
-    """Caching attribute proxy over the active backend's namespace."""
-
-    def __getattr__(self, name):
-        value = getattr(_ACTIVE.xp, name)
-        # Cache on the instance so subsequent lookups bypass __getattr__
-        # entirely; set_backend() clears this cache.
-        object.__setattr__(self, name, value)
-        return value
-
-    def __repr__(self):
-        return f"<xp proxy over backend {_ACTIVE.name!r}>"
-
-
-#: The array namespace the whole stack computes against.  Import as
-#: ``from repro.nn.backend import xp`` (conventionally aliased ``np``).
-xp = _NamespaceProxy()
-
-
-def get_backend():
-    """The currently active :class:`Backend`."""
-    return _ACTIVE
-
-
-def set_backend(name_or_backend):
-    """Activate a backend by name (or instance); returns it.
-
-    Clears the :data:`xp` attribute cache so every module sees the new
-    namespace immediately.  Arrays already created under the previous
-    backend are not migrated.
-    """
-    global _ACTIVE
-    if isinstance(name_or_backend, Backend):
-        backend = register_backend(name_or_backend)
-    else:
-        try:
-            backend = _BACKENDS[name_or_backend]
-        except KeyError:
-            raise ValueError(
-                f"unknown backend {name_or_backend!r}; registered: "
-                + ", ".join(available_backends())) from None
-    _ACTIVE = backend
-    vars(xp).clear()
-    return backend
-
-
-def _initial_backend():
-    name = os.environ.get("REPRO_BACKEND", "").strip().lower()
-    if not name:
-        return _BACKENDS["numpy"]
-    if name not in _BACKENDS:
-        raise ValueError(
-            f"REPRO_BACKEND={name!r} is not a registered backend; "
-            "registered: " + ", ".join(available_backends()))
-    return _BACKENDS[name]
-
-
-_ACTIVE = _initial_backend()
+__all__ = ["xp"]

@@ -38,8 +38,8 @@ class InferenceMixin:
 
     Streaming protocol
     ------------------
-    Models whose forward factors into a causal per-step recurrence may
-    additionally set ``stream_native = True`` and implement
+    Models that keep reusable per-prefix state may set
+    ``stream_native = True`` and implement
 
     * ``stream_begin(batch_size) -> state`` — fresh per-session state;
     * ``stream_step(state, values_t, mask_t, deltas_t) -> (state, logits)``
@@ -47,15 +47,12 @@ class InferenceMixin:
       logits *as of that prefix*, bit-identical to ``predict_logits``
       over the same prefix (see docs/SERVING.md for the contract).
 
-    Models whose forward is *not* a pure per-step recurrence but still
-    maintains reusable per-prefix state (cached projections, running
-    hidden states feeding a non-causal readout) set
-    ``stream_incremental = True`` instead and implement the same two
-    hooks.  The bit-identity contract is identical; the difference is
-    cost semantics — an incremental ``stream_step`` may do O(t) readout
-    work over its cached state, but never recomputes the per-step
+    A causal per-step recurrence (GRU, GRU-D, StageNet, ConCare) makes
+    ``stream_step`` O(1).  A model whose readout looks at the whole
+    prefix (RETAIN, Dipole, SAnD, ELDA-Net) may do O(t) readout work
+    over its cached state, but never recomputes the per-step
     projections or recurrences of earlier steps.  Two extra rules apply
-    to incremental hooks:
+    to such hooks:
 
     * record the new observation into ``state`` (in place) *before* any
       computation that can raise — a model that rejects short prefixes
@@ -67,20 +64,15 @@ class InferenceMixin:
       :func:`repro.nn.ops.linear_rows`) is served via the exact full
       forward for that prefix while the cache is still updated.
 
-    :class:`repro.serve.StreamingSession` drives both kinds of hooks
-    under ``eval()`` + ``no_grad``; models with neither flag are
-    streamed by exact prefix replay instead, so every model supports
-    the streaming surface.
+    :class:`repro.serve.StreamingSession` drives the hooks under
+    ``eval()`` + ``no_grad``; models without the flag are streamed by
+    exact prefix replay instead, so every model supports the streaming
+    surface.
     """
 
     #: True on models implementing stream_begin/stream_step natively;
     #: the serving session replays prefixes for everything else.
     stream_native = False
-
-    #: True on models whose stream_step reuses cached per-prefix state
-    #: (incremental attention streaming) without being a pure O(1)
-    #: recurrence.  Mutually exclusive with stream_native.
-    stream_incremental = False
 
     def stream_begin(self, batch_size):
         raise NotImplementedError(
@@ -128,11 +120,8 @@ class InferenceMixin:
         logits (multi-class heads) map through a row-stochastic
         softmax to an (N, K) matrix.
         """
-        from ..metrics.probability import sigmoid_probs, softmax_probs
-        logits = self.predict_logits(batch)
-        if logits.ndim == 1:
-            return sigmoid_probs(logits)
-        return softmax_probs(logits)
+        from ..metrics.probability import probabilities
+        return probabilities(self.predict_logits(batch))
 
     def predict(self, batch, threshold=0.5):
         """Hard class predictions: thresholded (binary) or argmax."""

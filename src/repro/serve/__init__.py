@@ -14,9 +14,10 @@ One configuration object drives every component:
   trained architecture from a run directory (``config.json`` model spec
   + Checkpointer weights) and restores its persisted serving config.
 * :class:`StreamingSession` / :class:`SessionStore` —
-  **stateful streaming inference**: each new hourly observation is an
-  O(1) recurrent-state update (or exact prefix replay for non-causal
-  models), bit-identical to the full forward at every prefix.  Open one
+  **stateful streaming inference**: each new hourly observation
+  advances the model's cached state (O(1) for the recurrences), or
+  replays the exact prefix for models without streaming hooks,
+  bit-identical to the full forward at every prefix.  Open one
   with :meth:`Predictor.start_stream`.
 * :class:`MicroBatcher` — coalesces concurrent single-admission requests
   into padded fixed-shape batches, turning per-request forwards into the
@@ -66,12 +67,12 @@ from .loadtest import check_floor, run_loadtest
 from .metrics import ServeMetrics
 from .pool import (AsyncServeFrontend, ReplicaPool, ServeDeadlineError,
                    ServeOverloadError, ServeWorkerError)
-from .predictor import Predictor, load_predictor
+from .predictor import Predictor
 from .streaming import SessionStore, StreamingSession
 
 __all__ = [
     "ServeConfig", "resolve_config",
-    "Predictor", "load_predictor",
+    "Predictor",
     "StreamingSession", "SessionStore",
     "MicroBatcher", "RequestHandle", "ServeRequestError",
     "ReplicaPool", "AsyncServeFrontend",

@@ -14,7 +14,9 @@ run directories persist as the ``serve`` block of ``config.json`` (so
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass, fields, replace
+from pathlib import Path
 
 __all__ = ["ServeConfig", "resolve_config"]
 
@@ -133,14 +135,25 @@ class ServeConfig:
             serve_block["batch_size"] = int(config_payload["batch_size"])
         return cls.from_dict(serve_block)
 
+    @classmethod
+    def from_run_dir(cls, run_dir):
+        """The serving configuration a run directory persisted.
+
+        :meth:`from_run_config` over ``run_dir/config.json``; the
+        defaults when the directory has no ``config.json``.
+        """
+        config_path = Path(run_dir) / "config.json"
+        if not config_path.exists():
+            return cls()
+        return cls.from_run_config(json.loads(config_path.read_text()))
+
 
 def resolve_config(config, owner, base=None):
     """The :class:`ServeConfig` a serving component runs with.
 
     ``config`` when given (anything but a ServeConfig raises
     ``TypeError``), else ``base`` — e.g. a MicroBatcher inheriting its
-    predictor's config, or a run directory's persisted ``serve`` block —
-    else the defaults.
+    predictor's config — else the defaults.
     """
     if config is None:
         return base if base is not None else ServeConfig()

@@ -106,12 +106,9 @@ def run_loadtest(run_dir, checkpoint="best", config=None, *,
     # (exactly like ReplicaPool does) so a bare ``repro loadtest``
     # honors the run's recorded serving preferences instead of
     # silently falling back to ServeConfig() defaults.
-    base = None
-    config_path = Path(run_dir) / "config.json"
-    if config_path.exists():
-        base = ServeConfig.from_run_config(
-            json.loads(config_path.read_text()))
-    config = resolve_config(config, owner="run_loadtest", base=base)
+    if config is None:
+        config = ServeConfig.from_run_dir(run_dir)
+    config = resolve_config(config, owner="run_loadtest")
     predict_rows, stream_jobs = _workload(num_requests, num_streams,
                                           stream_steps, seed)
     metrics = ServeMetrics(label=label or f"loadtest-{Path(run_dir).name}")

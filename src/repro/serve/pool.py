@@ -37,7 +37,6 @@ when it eventually arrives).
 from __future__ import annotations
 
 import itertools
-import json
 import multiprocessing
 import os
 import queue as queue_module
@@ -194,12 +193,9 @@ class ReplicaPool:
                  metrics=None):
         self.run_dir = Path(run_dir)
         self.checkpoint = checkpoint
-        base = None
-        config_path = self.run_dir / "config.json"
-        if config_path.exists():
-            base = ServeConfig.from_run_config(
-                json.loads(config_path.read_text()))
-        self.config = resolve_config(config, owner="ReplicaPool", base=base)
+        if config is None:
+            config = ServeConfig.from_run_dir(self.run_dir)
+        self.config = resolve_config(config, owner="ReplicaPool")
         self.metrics = metrics if metrics is not None else ServeMetrics(
             label=f"pool-{self.run_dir.name}")
         self.workers = self.config.workers

@@ -37,7 +37,7 @@ from ..nn.backend import xp as np
 from ..data.dataset import EMRDataset
 from .config import ServeConfig, resolve_config
 
-__all__ = ["Predictor", "load_predictor"]
+__all__ = ["Predictor"]
 
 
 def _stack_rows(datasets):
@@ -232,14 +232,13 @@ class Predictor:
         Without ``pad_to``, chunking matches the training engine's
         evaluation pass bit-for-bit.
         """
-        from ..metrics.probability import sigmoid_probs, softmax_probs
+        from ..metrics.probability import probabilities
         outputs = []
         for start in range(0, len(batch), self.batch_size):
             chunk = batch.subset(
                 np.arange(start, min(start + self.batch_size, len(batch))))
-            logits = self.predict_logits(chunk, pad_to=pad_to)
-            outputs.append(sigmoid_probs(logits) if logits.ndim == 1
-                           else softmax_probs(logits))
+            outputs.append(probabilities(
+                self.predict_logits(chunk, pad_to=pad_to)))
         return np.concatenate(outputs)
 
     def predict_coalesced(self, rows_list, pad_to):
@@ -250,13 +249,11 @@ class Predictor:
         slice is bit-identical to serving it alone.  Returns one
         probability array per request, in order.
         """
-        from ..metrics.probability import sigmoid_probs, softmax_probs
+        from ..metrics.probability import probabilities
         stacked = (_stack_rows(rows_list) if len(rows_list) > 1
                    else rows_list[0])
-        logits = self.predict_logits(stacked, pad_to=pad_to)
-        probabilities = (sigmoid_probs(logits) if logits.ndim == 1
-                         else softmax_probs(logits))
-        return np.split(probabilities,
+        probs = probabilities(self.predict_logits(stacked, pad_to=pad_to))
+        return np.split(probs,
                         np.cumsum([len(rows) for rows in rows_list[:-1]]))
 
     def predict(self, batch, threshold=0.5):
@@ -289,8 +286,8 @@ class Predictor:
     # Loading from run directories
     # ------------------------------------------------------------------
     @classmethod
-    def load(cls, run_dir, checkpoint="best", metrics=None, capture=None,
-             config=None, persist=True):
+    def load(cls, run_dir, checkpoint="best", metrics=None, config=None,
+             persist=True):
         """Rebuild a predictor from a training run directory.
 
         Parameters
@@ -302,12 +299,6 @@ class Predictor:
         checkpoint:
             ``"best"`` (best-on-validation; falls back to ``"last"``
             when no best snapshot exists) or ``"last"``.
-        capture:
-            ``None`` (default) restores the run directory's persisted
-            serving preference (``config.json`` → ``serve.capture``,
-            off when absent).  An explicit ``True``/``False`` both
-            applies *and persists* the choice, so later loads of the
-            same run directory keep it.
         config:
             An explicit :class:`~repro.serve.ServeConfig`, overriding
             the run directory's persisted ``serve`` block entirely —
@@ -358,26 +349,10 @@ class Predictor:
         load_weights(model, weights)
 
         persisted = ServeConfig.from_run_config(run_config)
-        if config is not None and capture is not None:
-            raise TypeError("pass either config= or capture=, not both "
-                            "(set capture on the ServeConfig)")
-        if config is not None:
-            serve_config = config
-        elif capture is not None:
-            serve_config = persisted.replace(capture=bool(capture))
-        else:
-            serve_config = persisted
-        explicit = config is not None or capture is not None
-        if persist and explicit and serve_config != persisted:
+        serve_config = config if config is not None else persisted
+        if persist and serve_config != persisted:
             run_config["serve"] = serve_config.to_dict()
             config_path.write_text(
                 json.dumps(run_config, indent=2, sort_keys=True) + "\n")
 
         return cls(model, serve_config, spec=spec, metrics=metrics)
-
-
-def load_predictor(run_dir, checkpoint="best", metrics=None, capture=None,
-                   config=None, persist=True):
-    """Module-level alias for :meth:`Predictor.load`."""
-    return Predictor.load(run_dir, checkpoint=checkpoint, metrics=metrics,
-                          capture=capture, config=config, persist=persist)

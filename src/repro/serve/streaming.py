@@ -13,23 +13,21 @@ prefix, bit for bit, in both dtype planes
 (``tests/serve/test_streaming.py`` pins every registry model).  Two
 mechanisms deliver it:
 
-* models with a causal per-step recurrence (``stream_native = True``:
-  GRU, GRU-D, StageNet, ConCare) advance real state via their
-  ``stream_begin`` / ``stream_step`` hooks — the recurrent update is
-  O(1) per step.  The GRU/LSTM hooks replay the fused scan kernels'
-  exact ufunc tail and keep every GEMM in the BLAS row-stable regime
+* models advertising ``stream_native = True`` advance real state via
+  their ``stream_begin`` / ``stream_step`` hooks.  For a causal per-step
+  recurrence (GRU, GRU-D, StageNet, ConCare) the update is O(1) per
+  step: the GRU/LSTM hooks replay the fused scan kernels' exact ufunc
+  tail and keep every GEMM in the BLAS row-stable regime
   (:func:`repro.nn.ops.gru_scan_step`), which is what makes the
-  step-by-step arithmetic match the one-shot scan;
-* models whose readout looks at the whole prefix non-causally but whose
-  per-step work is reusable (``stream_incremental = True``: RETAIN,
-  Dipole, SAnD, every ELDA-Net variant) stream through the same two
-  hooks with **incremental attention state** — cached per-step
-  projections and running recurrent states; each step computes only the
-  new timestep's projections plus the attention readout over the cache,
-  never re-projecting or re-encoding earlier steps (see
+  step-by-step arithmetic match the one-shot scan.  Models whose
+  readout looks at the whole prefix (RETAIN, Dipole, SAnD, every
+  ELDA-Net variant) keep cached per-step projections and running
+  recurrent states; each step computes only the new timestep's
+  projections plus the attention readout over the cache, never
+  re-projecting or re-encoding earlier steps (see
   :func:`repro.nn.ops.linear_rows` for why the cached rows are
   bit-stable);
-* models with neither flag (the set-style LR/FM/AFM heads) fall back to
+* models without the flag (the set-style LR/FM/AFM heads) fall back to
   **exact prefix replay** — the session buffers the fed steps and
   reruns the full forward, which is identical by construction (same
   arrays, same forward).
@@ -64,9 +62,8 @@ class StreamingSession:
     ----------
     model:
         Any registry model (an :class:`~repro.nn.InferenceMixin`).
-        Models advertising ``stream_native`` stream in O(1); models
-        advertising ``stream_incremental`` stream from cached
-        attention state; the rest stream by exact prefix replay.
+        Models advertising ``stream_native`` stream from their own
+        cached state; the rest stream by exact prefix replay.
     batch_size:
         Number of admissions fed per step.  Bit-identity is guaranteed
         against full forwards over this same number of rows.
@@ -90,19 +87,13 @@ class StreamingSession:
         self.spec = spec if spec is not None else getattr(model, "spec", None)
         self.metrics = metrics
         self.native = bool(getattr(model, "stream_native", False))
-        self.incremental = bool(getattr(model, "stream_incremental", False))
-        if self.native and self.incremental:
-            raise TypeError(
-                f"model {type(model).__name__} advertises both "
-                "stream_native and stream_incremental; the flags are "
-                "mutually exclusive")
         self.last_probs = None
         self._state = None
         self._steps = 0
         self._values = []
         self._masks = []
         self._deltas = []
-        if self.native or self.incremental:
+        if self.native:
             self._state = model.stream_begin(self.batch_size)
         if self.metrics is not None:
             self.metrics.record_stream_session()
@@ -118,7 +109,7 @@ class StreamingSession:
         self.last_probs = None
         self._values, self._masks, self._deltas = [], [], []
         self._state = (self.model.stream_begin(self.batch_size)
-                       if self.native or self.incremental else None)
+                       if self.native else None)
 
     # ------------------------------------------------------------------
     def _check_step(self, values_t, mask_t, deltas_t):
@@ -178,14 +169,14 @@ class StreamingSession:
         values_t, mask_t, deltas_t = self._check_step(
             values_t, mask_t, deltas_t)
         started = perf_counter()
-        if self.native or self.incremental:
+        if self.native:
             model = self.model
             was_training = model.training
             model.eval()
-            # Count the step up front: an incremental model that rejects
-            # a short prefix (attention needs two steps) has already
-            # recorded the observation into its state, mirroring the
-            # replay path's buffer-then-predict ordering.
+            # Count the step up front: a model that rejects a short
+            # prefix (attention needs two steps) has already recorded
+            # the observation into its state, mirroring the replay
+            # path's buffer-then-predict ordering.
             self._steps += 1
             try:
                 with no_grad():
@@ -210,12 +201,10 @@ class StreamingSession:
             self._steps += 1
             logits = self.model.predict_logits(self._prefix_dataset())
         if self.metrics is not None:
-            self.metrics.record_stream_step(
-                perf_counter() - started,
-                native=self.native or self.incremental)
-        from ..metrics.probability import sigmoid_probs, softmax_probs
-        probs = (sigmoid_probs(logits) if logits.ndim == 1
-                 else softmax_probs(logits))
+            self.metrics.record_stream_step(perf_counter() - started,
+                                            native=self.native)
+        from ..metrics.probability import probabilities
+        probs = probabilities(logits)
         self.last_probs = probs
         return probs
 

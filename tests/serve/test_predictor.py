@@ -8,7 +8,7 @@ import pytest
 
 from repro.baselines import build_model
 from repro.data import NUM_FEATURES
-from repro.serve import Predictor, ServeConfig, ServeMetrics, load_predictor
+from repro.serve import Predictor, ServeConfig, ServeMetrics
 
 pytestmark = pytest.mark.serve
 
@@ -159,10 +159,6 @@ class TestLoad:
         with pytest.raises(FileNotFoundError, match="config.json"):
             Predictor.load(tmp_path / "nope")
 
-    def test_module_level_alias(self, trained_run):
-        _, run_dir = trained_run
-        assert load_predictor(run_dir).spec.name == "GRU"
-
 
 class TestMetricsIntegration:
     def test_forwards_are_recorded(self, tiny_dataset):
@@ -203,7 +199,9 @@ class TestCapture:
     def test_capture_serving_is_bit_identical(self, run_copy, serve_splits):
         metrics = ServeMetrics("capture")
         eager = Predictor.load(run_copy)
-        captured = Predictor.load(run_copy, capture=True, metrics=metrics)
+        captured = Predictor.load(
+            run_copy, metrics=metrics,
+            config=ServeConfig.from_run_dir(run_copy).replace(capture=True))
         reference = eager.predict_proba(serve_splits.test)
         served = captured.predict_proba(serve_splits.test)
         np.testing.assert_array_equal(served, reference)
@@ -270,12 +268,13 @@ class TestCapture:
 
     def test_capture_choice_persists_in_the_run_dir(self, run_copy):
         assert Predictor.load(run_copy).capture is False
-        Predictor.load(run_copy, capture=True)
+        Predictor.load(run_copy, config=ServeConfig.from_run_dir(run_copy)
+                       .replace(capture=True))
         persisted = json.loads((run_copy / "config.json").read_text())
         assert persisted["serve"]["capture"] is True
         assert Predictor.load(run_copy).capture is True
-        assert load_predictor(run_copy).capture is True
-        Predictor.load(run_copy, capture=False)
+        Predictor.load(run_copy, config=ServeConfig.from_run_dir(run_copy)
+                       .replace(capture=False))
         assert Predictor.load(run_copy).capture is False
 
     def test_bulk_capture_matches_trainer_reference(self, run_copy,
@@ -285,6 +284,8 @@ class TestCapture:
         the training engine's validation scores bit-for-bit."""
         trainer, _ = trained_run
         reference = trainer.engine.predict_proba(serve_splits.test)
-        served = Predictor.load(run_copy, capture=True) \
+        served = Predictor.load(
+            run_copy,
+            config=ServeConfig.from_run_dir(run_copy).replace(capture=True)) \
             .predict_proba(serve_splits.test)
         np.testing.assert_array_equal(served, reference)

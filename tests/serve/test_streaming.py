@@ -22,10 +22,10 @@ from repro.serve import (Predictor, ServeMetrics, SessionStore,
 
 pytestmark = pytest.mark.serve
 
-NATIVE_MODELS = {"GRU", "GRU-D", "StageNet", "ConCare"}
-INCREMENTAL_MODELS = {"RETAIN", "Dipole_l", "Dipole_g", "Dipole_c", "SAnD",
-                      "ELDA-Net", "ELDA-Net-T", "ELDA-Net-Fbi",
-                      "ELDA-Net-Fbi*", "ELDA-Net-Ffm", "ELDA-Net-Ffm*"}
+NATIVE_MODELS = {"GRU", "GRU-D", "StageNet", "ConCare",
+                 "RETAIN", "Dipole_l", "Dipole_g", "Dipole_c", "SAnD",
+                 "ELDA-Net", "ELDA-Net-T", "ELDA-Net-Fbi",
+                 "ELDA-Net-Fbi*", "ELDA-Net-Ffm", "ELDA-Net-Ffm*"}
 PREFIX_STEPS = 5
 
 
@@ -56,8 +56,6 @@ def _stream_vs_full(model_name, batch, dtype):
         predictor = Predictor(model)
         assert bool(getattr(model, "stream_native", False)) == \
             (model_name in NATIVE_MODELS)
-        assert bool(getattr(model, "stream_incremental", False)) == \
-            (model_name in INCREMENTAL_MODELS)
         session = predictor.start_stream(batch_size=len(batch))
         covered = 0
         for t in range(1, batch.num_time_steps + 1):
@@ -92,7 +90,7 @@ def test_streaming_bit_identity_float32(model_name, stream_batch):
 
 
 @pytest.mark.parametrize("model_name",
-                         sorted(NATIVE_MODELS | INCREMENTAL_MODELS))
+                         sorted(NATIVE_MODELS))
 def test_single_admission_streams_bit_identically(model_name, stream_batch):
     """n=1 is the serving case — and the BLAS row-stability danger zone."""
     _stream_vs_full(model_name, stream_batch.subset([0]),

@@ -2,7 +2,7 @@
 
 All model, layer, op, training, and serving code must reach arrays
 through :mod:`repro.nn.backend` (``from repro.nn.backend import xp``)
-so the active backend stays swappable (see docs/BACKEND.md).  Only the
+so array math has one import seam (see docs/BACKEND.md).  Only the
 backend itself, the dtype/serialization planes that define the on-disk
 and precision contracts, and the data/bench planes (host-side by
 design) may import numpy directly.
