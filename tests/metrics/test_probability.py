@@ -2,8 +2,11 @@
 
 import numpy as np
 
+import pytest
+
 from repro.metrics import (evaluate_multiclass, multiclass_ce, sigmoid_probs,
                            softmax_probs)
+from repro.metrics.probability import probabilities
 
 
 class TestSoftmaxProbs:
@@ -26,6 +29,33 @@ class TestSigmoidProbs:
 
     def test_range(self):
         assert ((sigmoid_probs(np.array([-50.0, 0.0, 50.0])) >= 0).all())
+
+
+class TestProbabilities:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_1d_logits_are_the_sigmoid_bit_for_bit(self, dtype):
+        logits = np.random.default_rng(1).normal(size=9).astype(dtype)
+        probs = probabilities(logits)
+        assert probs.dtype == dtype
+        np.testing.assert_array_equal(probs, sigmoid_probs(logits))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_2d_logits_are_the_softmax_bit_for_bit(self, dtype):
+        logits = np.random.default_rng(2).normal(size=(6, 4)).astype(dtype)
+        probs = probabilities(logits)
+        assert probs.dtype == dtype
+        np.testing.assert_array_equal(probs, softmax_probs(logits))
+
+    def test_single_column_2d_is_a_softmax(self):
+        """The rule is the rank, not the width: an (N, 1) head is a
+        one-class softmax, all ones, not a sigmoid."""
+        probs = probabilities(np.array([[-3.0], [0.0], [2.5]]))
+        np.testing.assert_array_equal(probs, np.ones((3, 1)))
+
+    def test_integer_logits_are_promoted(self):
+        probs = probabilities(np.array([0, 0]))
+        assert probs.dtype.kind == "f"
+        np.testing.assert_array_equal(probs, [0.5, 0.5])
 
 
 class TestMulticlassCE:
