@@ -228,8 +228,9 @@ def build_parser():
     serve.add_argument("--baseline", action="store_true",
                        help="also time the single-request path and "
                        "report the micro-batching speedup")
-    serve.add_argument("--out", default=".", metavar="DIR",
-                       help="directory for the SERVE_*.json report")
+    serve.add_argument("--out", default=None, metavar="DIR",
+                       help="directory for the SERVE_*.json report "
+                            "(default: the run directory)")
     serve.add_argument("--no-json", action="store_true",
                        help="print the summary only, write no report")
 
@@ -275,8 +276,9 @@ def build_parser():
                           help="fail (exit 1) unless the report clears the "
                                "floor file (benchmarks/results/"
                                "pool_floor.json)")
-    loadtest.add_argument("--out", default=".", metavar="DIR",
-                          help="directory for the SERVE_*.json report")
+    loadtest.add_argument("--out", default=None, metavar="DIR",
+                          help="directory for the SERVE_*.json report "
+                               "(default: the run directory)")
     loadtest.add_argument("--no-json", action="store_true",
                           help="print the summary only, write no report")
 
@@ -758,7 +760,8 @@ def _cmd_serve(args, out):
         extra["single_request_req_per_sec"] = 1.0 / single_seconds
         extra["speedup"] = speedup
     if not args.no_json:
-        path = metrics.save(directory=args.out, extra=extra)
+        path = metrics.save(directory=args.out or args.run_dir,
+                            extra=extra)
         out.write(f"report written to {path}\n")
     return 0
 
@@ -774,7 +777,7 @@ def _cmd_loadtest(args, out):
         num_requests=args.requests, num_streams=args.streams,
         stream_steps=args.stream_steps, concurrency=args.concurrency,
         max_seconds=args.max_seconds, seed=args.seed,
-        out_dir=None if args.no_json else args.out)
+        out_dir=None if args.no_json else args.out or args.run_dir)
 
     latency = report["latency_ms"]
     workers = report["workers"]

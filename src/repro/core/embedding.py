@@ -11,6 +11,14 @@ keeps the embedding scale independent of the value scale, and (ii) maps a
 standardized zero — "this lab is normal" — to an informative vector rather
 than the zero vector.
 
+Rearranged, Eq. 2 is affine in the value,
+
+    e_i = x'_i (V_i^a - V_i^b) / (b - a) + (b V_i^b - a V_i^a) / (b - a)
+
+which is how :func:`repro.nn.ops.bi_embedding` computes it: a (C, e)
+slope and intercept from the two tables, then one multiply-add over the
+(B, T, C, e) slab, as a single graph node.
+
 Never-observed features (missingness type 3) are routed to a dedicated
 embedding row ``V_i^m``.
 
@@ -113,11 +121,8 @@ class BiDirectionalEmbedding(_NumericEmbedding):
             nn.init.glorot_uniform((num_features, embedding_size), rng))
 
     def _value_embedding(self, x):
-        span = self.upper - self.lower
-        x_col = x.reshape(*x.shape, 1)
-        toward_upper = (x_col - self.lower) * self.table_lower
-        toward_lower = (self.upper - x_col) * self.table_upper
-        return (toward_upper + toward_lower) / span
+        return ops.bi_embedding(x, self.table_lower, self.table_upper,
+                                self.lower, self.upper)
 
 
 class FMEmbedding(_NumericEmbedding):

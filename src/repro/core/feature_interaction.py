@@ -10,14 +10,21 @@ attends over them with a per-feature attention network
 aggregates ``c_i = Σ_j α_ij r_ij``, and compresses the enriched feature
 ``[e_i; c_i]`` into a ``d``-dimensional representation (Eq. 6).
 
-Implementation note: materializing the (B, T, C, C, e) interaction tensor
-is wasteful.  We use the algebraic identities
+Implementation note: the whole computation is one graph node,
+:func:`repro.nn.ops.feature_interaction`.  It never materializes the
+(B, T, C, C, e) interaction tensor, using the identities
 
     α'_ij = ((e_i ⊙ W_i) · e_j) + b_i  and  c_i = e_i ⊙ (Σ_j α_ij e_j)
 
-which compute exactly the same function with a (B, T, C, C) attention grid
-and two batched matmuls.  The returned attention weights are the α_ij the
-paper visualizes in Figures 9–10.
+for a (B, T, C, C) attention grid and two batched matmuls, and it
+splits Eq. 6's compress as
+
+    relu([e_i; c_i]) P = relu(e_i) P[:e] + relu(c_i) P[e:]
+
+so no concatenated slab is built.  The returned attention weights are
+the α_ij the paper visualizes in Figures 9–10, read out by the op's own
+forward helper (:func:`repro.nn.ops.feature_attention`); they are an
+inference signal and carry no gradient.
 """
 
 from __future__ import annotations
@@ -63,9 +70,6 @@ class FeatureInteractionModule(Module):
         # p ∈ R^{2e×d}: shared compression of [e_i; c_i].
         self.compress = Parameter(
             nn.init.glorot_uniform((2 * embedding_size, compression), rng))
-        # Exclude self-interactions from the softmax (Eq. 5's j ≠ i).
-        self._diag_mask = np.full((num_features, num_features), 0.0)
-        np.fill_diagonal(self._diag_mask, -1e9)
 
     def forward(self, embedded, return_attention=False):
         """Enrich embedded features with attended pairwise interactions.
@@ -83,29 +87,15 @@ class FeatureInteractionModule(Module):
         Returns
         -------
         Tensor (batch, time, features * compression) — the x̃_t sequence —
-        and optionally the attention grid.
+        and optionally the attention grid (a constant: no gradient).
         """
         if self.use_attention:
-            keyed = embedded * self.attn_weight        # e_i ⊙ W_i
-            logits = ops.matmul(keyed, embedded.swapaxes(-1, -2))
-            logits = logits + self.attn_bias.reshape(-1, 1)
-            logits = logits + nn.Tensor(self._diag_mask)
-            alpha = ops.softmax(logits, axis=-1)       # (B, T, C, C)
+            weight, bias = self.attn_weight, self.attn_bias
         else:
-            uniform = np.full((self.num_features, self.num_features),
-                              1.0 / (self.num_features - 1))
-            np.fill_diagonal(uniform, 0.0)
-            alpha = nn.Tensor(np.broadcast_to(
-                uniform, embedded.shape[:2] + uniform.shape).copy())
-
-        summed = ops.matmul(alpha, embedded)           # Σ_j α_ij e_j
-        context = embedded * summed                    # c_i = e_i ⊙ Σ α e_j
-        enriched = ops.concat([embedded, context], axis=-1)
-        compressed = ops.matmul(ops.relu(enriched), self.compress)
-
-        batch, steps = compressed.shape[0], compressed.shape[1]
-        flat = compressed.reshape(batch, steps,
-                                  self.num_features * self.compression)
+            weight = bias = None
+        flat = ops.feature_interaction(embedded, weight, bias,
+                                       self.compress)
         if return_attention:
-            return flat, alpha
+            alpha = ops.feature_attention(embedded, weight, bias)
+            return flat, nn.Tensor(alpha)
         return flat

@@ -20,6 +20,9 @@ no per-op Tensor boxing:
 * ops that returned views (``reshape``, ``transpose``, ``getitem``
   and ``split`` slices …) need no thunk at all — the view objects
   captured at trace time stay live over the mutated base buffers;
+* the fused ELDA-Net ops (``bi_embedding``, ``feature_interaction``)
+  replay through the very out=-buffered helpers their eager forwards
+  call, into slabs pinned at trace time;
 * composite or fused ops with no hand kernel (``var``, ``gru_scan``,
   ``lstm_scan`` …) fall back to re-running their eager forward on the
   retained argument tensors — whose ``.data`` *are* the live buffers —
@@ -461,6 +464,53 @@ def _build_getitem(args, kwargs, out):
     return thunk
 
 
+def _build_bi_embedding(args, kwargs, out):
+    x = _operand(args[0], out.dtype)
+    table_lower = _operand(_param(args, kwargs, 1, "table_lower", None),
+                           out.dtype)
+    table_upper = _operand(_param(args, kwargs, 2, "table_upper", None),
+                           out.dtype)
+    lower = float(_param(args, kwargs, 3, "lower", None))
+    upper = float(_param(args, kwargs, 4, "upper", None))
+    slope = np.empty_like(table_lower)
+    intercept = np.empty_like(table_lower)
+
+    def thunk():
+        # Slope and intercept come from the live tables on every replay,
+        # so in-place weight updates reach the captured graph.
+        ops._bi_embedding_affine(table_lower, table_upper, lower, upper,
+                                 slope, intercept)
+        ops._bi_embedding_into(x, slope, intercept, out)
+    return thunk
+
+
+def _build_feature_interaction(args, kwargs, out):
+    embedded = _operand(args[0], out.dtype)
+    weight = _param(args, kwargs, 1, "attn_weight", None)
+    bias = _param(args, kwargs, 2, "attn_bias", None)
+    compress = _operand(_param(args, kwargs, 3, "compress", None), out.dtype)
+    *lead, channels, _ = embedded.shape
+    lead = tuple(lead)
+    width = compress.shape[-1]
+    dt = out.dtype
+    out4 = out.reshape(lead + (channels, width))    # a view: out is fresh
+    summed, relu_e, relu_ctx = (np.empty(embedded.shape, dtype=dt)
+                                for _ in range(3))
+    partial = np.empty_like(out4)
+    if weight is None:
+        grid = ops._uniform_grid(channels, dt)
+    else:
+        weight, bias = _operand(weight, dt), _operand(bias, dt)
+        grid = np.empty(lead + (channels, channels), dtype=dt)
+
+    def thunk():
+        if weight is not None:
+            ops._interaction_grid(embedded, weight, bias, relu_e, grid)
+        ops._interaction_enrich(embedded, grid, compress, summed, relu_e,
+                                relu_ctx, partial, out4)
+    return thunk
+
+
 _KERNEL_BUILDERS = {
     "add": _binary_kernel(np.add),
     "sub": _binary_kernel(np.subtract),
@@ -492,6 +542,8 @@ _KERNEL_BUILDERS = {
     "stack": _stacking_kernel(np.stack, 0),
     "pad_last": _build_pad_last,
     "embedding_lookup": _build_embedding_lookup,
+    "bi_embedding": _build_bi_embedding,
+    "feature_interaction": _build_feature_interaction,
     "reshape": _build_reshape,
     "getitem": _build_getitem,
 }

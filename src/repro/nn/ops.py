@@ -60,11 +60,13 @@ __all__ = [
     "softmax_cross_entropy", "where", "dropout_mask", "pad_last",
     "outer_last", "embedding_lookup", "gru_scan",
     "per_feature_gru_scan", "lstm_scan", "grud_scan", "stagenet_scan",
+    "bi_embedding", "feature_interaction",
 ]
 # gru_scan_step / per_feature_gru_scan_step / lstm_scan_step /
-# grud_scan_step / stagenet_scan_step / linear_rows are deliberately NOT
-# in __all__: they are inference-only array kernels (no Tensor, no graph,
-# no backward) behind the streaming stream_step hooks, and __all__
+# grud_scan_step / stagenet_scan_step / linear_rows / feature_attention
+# are deliberately NOT in __all__: they are inference-only array kernels
+# (no Tensor, no graph, no backward) behind the streaming stream_step
+# hooks and the attention readout, and __all__
 # doubles as the differentiable-op registry contract
 # (tests/nn/test_gradcheck_registry).
 
@@ -2128,6 +2130,316 @@ def stagenet_scan(x, h0, c0, w_ih, w_hh, bias, stage_weight, stage_bias,
     return Tensor._make(
         out_data, (x, h0, c0, w_ih, w_hh, bias, stage_weight, stage_bias),
         backward)
+
+
+# ----------------------------------------------------------------------
+# ELDA-Net feature path (paper Eqs. 2-6)
+#
+# Two graph nodes carry the whole feature path: bi_embedding (Eq. 2 in
+# affine form) and feature_interaction (Eqs. 3-6).  Their forwards are
+# written as out=-buffered helpers shared with the capture replay
+# kernels (repro.nn.capture), so a replay is bit-identical to the eager
+# op by construction.
+# ----------------------------------------------------------------------
+
+def _bi_embedding_affine(table_lower, table_upper, lower, upper, slope,
+                         intercept):
+    """Eq. 2's per-feature slope ``(W_l - W_u) / span`` and intercept
+    ``(u W_u - l W_l) / span``, written into ``slope`` / ``intercept``."""
+    span = upper - lower
+    np.subtract(table_lower, table_upper, out=slope)
+    slope /= span
+    np.multiply(table_upper, upper, out=intercept)
+    intercept -= lower * table_lower
+    intercept /= span
+
+
+def _bi_embedding_into(x, slope, intercept, out):
+    """``x ⊙ slope + intercept`` over a trailing embedding axis."""
+    np.multiply(x[..., None], slope, out=out)
+    out += intercept
+    return out
+
+
+def _bi_embedding_sample(rng):
+    channels, size = 3, 2
+
+    def arrays(batch, steps):
+        return (rng.normal(size=(batch, steps, channels)),
+                rng.normal(size=(channels, size)),
+                rng.normal(size=(channels, size)))
+
+    return [
+        OpSample(lambda x, lo, hi: _sqsum(bi_embedding(x, lo, hi, -3.0, 3.0)),
+                 *arrays(2, 3)),
+        OpSample(lambda x, lo, hi: _sqsum(bi_embedding(x, lo, hi, -1.0, 2.0)),
+                 *arrays(1, 1)),
+    ]
+
+
+@differentiable(_bi_embedding_sample)
+def bi_embedding(x, table_lower, table_upper, lower, upper):
+    """The bi-directional embedding of paper Eq. 2, one graph node.
+
+    ``x`` is ``(..., C)``; ``table_lower`` / ``table_upper`` are the
+    ``(C, e)`` anchor tables ``V^a`` / ``V^b`` of the bounds ``lower`` <
+    ``upper``.  Returns ``(..., C, e)``:
+
+        e_i = (V_i^a (x_i - a) + V_i^b (b - x_i)) / (b - a)
+            = x_i (V_i^a - V_i^b) / (b - a) + (b V_i^b - a V_i^a) / (b - a)
+
+    The affine form computes a ``(C, e)`` slope and intercept from the
+    tables, then one multiply-add over the embedded slab.  The backward
+    forms the input gradient and the slope gradient with one batched
+    GEMM over ``C`` each.
+    """
+    x = as_tensor(x)
+    table_lower, table_upper = as_tensor(table_lower), as_tensor(table_upper)
+    lower, upper = float(lower), float(upper)
+    if not upper > lower:
+        raise ValueError("bi_embedding needs upper > lower")
+    channels = x.shape[-1]
+    if table_lower.shape != table_upper.shape \
+            or table_lower.ndim != 2 or table_lower.shape[0] != channels:
+        raise ValueError(
+            f"bi_embedding shapes do not line up: x {x.shape}, tables "
+            f"{table_lower.shape} and {table_upper.shape}")
+    size = table_lower.shape[1]
+    slope = np.empty_like(table_lower.data)
+    intercept = np.empty_like(slope)
+    _bi_embedding_affine(table_lower.data, table_upper.data, lower, upper,
+                         slope, intercept)
+    out_data = _bi_embedding_into(
+        x.data, slope, intercept,
+        np.empty(x.shape + (size,), dtype=slope.dtype))
+
+    def backward(grad):
+        # Feature-major (C, N, e) view: each gradient is one GEMM over C.
+        g_cm = grad.reshape(-1, channels, size).transpose(1, 0, 2)
+        if x.requires_grad:
+            dx = np.matmul(g_cm, slope[:, :, None])[..., 0]     # (C, N)
+            x._accumulate(np.ascontiguousarray(dx.T).reshape(x.shape),
+                          owned=True)
+        if not (table_lower.requires_grad or table_upper.requires_grad):
+            return
+        x_rows = x.data.reshape(-1, channels).T[:, None, :]     # (C, 1, N)
+        d_slope = np.matmul(x_rows, g_cm)[:, 0]
+        d_intercept = grad.reshape(-1, channels, size).sum(axis=0)
+        span = upper - lower
+        if table_lower.requires_grad:
+            d_lower = d_intercept * -lower
+            d_lower += d_slope
+            d_lower /= span
+            table_lower._accumulate(d_lower, owned=True)
+        if table_upper.requires_grad:
+            d_upper = d_intercept * upper
+            d_upper -= d_slope
+            d_upper /= span
+            table_upper._accumulate(d_upper, owned=True)
+
+    return Tensor._make(out_data, (x, table_lower, table_upper), backward)
+
+
+def _uniform_grid(channels, dtype):
+    """The attention-off ablation's α: ``1 / (C - 1)`` off the diagonal."""
+    grid = np.full((channels, channels), 1.0 / (channels - 1), dtype=dtype)
+    np.fill_diagonal(grid, 0.0)
+    return grid
+
+
+def _interaction_grid(embedded, weight, bias, keyed, grid):
+    """Eqs. 4-5 into ``grid``, transposed: ``grid[..., j, i] = α_ij``.
+
+    With the softmax over axis -2, its max and its sum (a GEMM against
+    a ones row) run over whole contiguous rows rather than along a short
+    inner axis.  ``keyed`` receives ``k_i = e_i ⊙ W_i``, so
+    that ``α'_ij = k_i · e_j + b_i``; the ``j ≠ i`` exclusion is a
+    ``-inf`` written over the diagonal of the logits slab, and the
+    softmax then runs in place on that one slab.
+    """
+    channels = grid.shape[-1]
+    np.multiply(embedded, weight, out=keyed)
+    np.matmul(embedded, keyed.swapaxes(-1, -2), out=grid)
+    grid += bias
+    flat = grid.reshape(grid.shape[:-2] + (channels * channels,))
+    flat[..., ::channels + 1] = -np.inf
+    grid -= grid.max(axis=-2, keepdims=True)
+    np.exp(grid, out=grid)
+    grid /= np.matmul(np.ones((1, channels), dtype=grid.dtype), grid)
+    return grid
+
+
+def _interaction_enrich(embedded, grid, compress, summed, relu_e, relu_ctx,
+                        partial, out):
+    """Eqs. 3 and 6 given the attention ``grid``: writes ``out``.
+
+    ``summed`` receives ``s_i = Σ_j α_ij e_j`` (so the context is
+    ``c_i = e_i ⊙ s_i``), ``relu_e`` / ``relu_ctx`` the two rectified
+    halves of ``[e_i; c_i]``, and ``partial`` the context half of the
+    split compress ``relu(e) @ P[:e] + relu(c) @ P[e:]``.
+    """
+    size = embedded.shape[-1]
+    np.matmul(grid.swapaxes(-1, -2), embedded, out=summed)
+    np.multiply(embedded, summed, out=relu_ctx)
+    np.maximum(relu_ctx, 0.0, out=relu_ctx)
+    np.maximum(embedded, 0.0, out=relu_e)
+    np.matmul(relu_e, compress[:size], out=out)
+    np.matmul(relu_ctx, compress[size:], out=partial)
+    out += partial
+    return out
+
+
+def _feature_interaction_sample(rng):
+    channels, size, width = 4, 3, 2
+
+    def arrays(batch, steps):
+        return (rng.normal(size=(batch, steps, channels, size)),
+                rng.normal(size=(channels, size)) * 0.5,
+                rng.normal(size=channels) * 0.1,
+                rng.normal(size=(2 * size, width)))
+
+    def build(e, w, b, p):
+        return _sqsum(feature_interaction(e, w, b, p))
+
+    def build_uniform(e, p):
+        return _sqsum(feature_interaction(e, None, None, p))
+
+    embedded, _, _, compress = arrays(2, 2)
+    return [OpSample(build, *arrays(2, 3)),
+            OpSample(build, *arrays(1, 1)),
+            OpSample(build_uniform, embedded, compress)]
+
+
+@differentiable(_feature_interaction_sample)
+def feature_interaction(embedded, attn_weight, attn_bias, compress):
+    """ELDA-Net's feature-level interaction learning (Eqs. 3-6), one node.
+
+    ``embedded`` is ``(..., C, e)``; ``attn_weight`` ``(C, e)`` and
+    ``attn_bias`` ``(C,)`` are the per-feature attention scorers, and
+    ``compress`` ``(2e, d)`` is Eq. 6's ``P``.  Returns the x̃ rows
+    ``(..., C * d)``.  Passing ``None`` for both attention parameters
+    pools the interactions with uniform weights instead (the attention
+    ablation).
+
+    The forward keeps its slabs for the backward: the transposed α
+    ``grid``, ``summed``, the two rectified halves of ``[e; c]`` and the
+    context half ``partial`` of the compress (the keyed slab is
+    transient and recomputed).  The backward allocates one
+    ``(..., C, C)`` slab, the attention gradient, and runs the softmax
+    backward in place on it.  Its row term ``Σ_j α_ij dα_ij`` equals
+    ``dout_i · (relu(c_i) @ P[e:])``, a dot over ``d`` against the saved
+    ``partial`` instead of over ``C``.
+    """
+    embedded, compress = as_tensor(embedded), as_tensor(compress)
+    attend = attn_weight is not None
+    if attend:
+        attn_weight, attn_bias = as_tensor(attn_weight), as_tensor(attn_bias)
+    e = embedded.data
+    *lead, channels, size = e.shape
+    lead = tuple(lead)
+    width = compress.shape[-1]
+    if channels < 2 or compress.shape != (2 * size, width) or (attend and (
+            attn_weight.shape != (channels, size)
+            or attn_bias.shape != (channels,))):
+        raise ValueError(
+            f"feature_interaction shapes do not line up: embedded "
+            f"{embedded.shape} (needs at least two features), attention "
+            f"{attn_weight.shape if attend else None} / "
+            f"{attn_bias.shape if attend else None}, compress "
+            f"{compress.shape}")
+    dt = e.dtype
+    summed, relu_e, relu_ctx = (np.empty(e.shape, dtype=dt)
+                                 for _ in range(3))
+    if attend:
+        # relu_e doubles as the keyed slab, which only the logits read.
+        grid = _interaction_grid(
+            e, attn_weight.data, attn_bias.data, relu_e,
+            np.empty(lead + (channels, channels), dtype=dt))
+    else:
+        grid = _uniform_grid(channels, dt)
+    partial = np.empty(lead + (channels, width), dtype=dt)
+    out4 = _interaction_enrich(e, grid, compress.data, summed, relu_e,
+                               relu_ctx, partial, np.empty_like(partial))
+    out_data = out4.reshape(lead + (channels * width,))
+    params = (embedded, attn_weight, attn_bias, compress) if attend \
+        else (embedded, compress)
+
+    def backward(grad):
+        p = compress.data
+        g2 = grad.reshape(-1, width)
+        if compress.requires_grad:
+            dp = np.empty_like(p)
+            np.matmul(relu_e.reshape(-1, size).T, g2, out=dp[:size])
+            np.matmul(relu_ctx.reshape(-1, size).T, g2, out=dp[size:])
+            compress._accumulate(dp, owned=True)
+        if not any(t.requires_grad for t in params[:-1]):
+            return
+        # Eq. 6 through the split compress and its two rectifiers.
+        mask = np.greater(e, 0.0)
+        d_e = np.matmul(g2, p[:size].T).reshape(e.shape)
+        d_e *= mask
+        d_ctx = np.matmul(g2, p[size:].T).reshape(e.shape)
+        d_ctx *= np.greater(relu_ctx, 0.0, out=mask)
+        # c_i = e_i ⊙ s_i, then s_i = Σ_j α_ij e_j = (grid^T @ E)_i.
+        d_s = np.multiply(d_ctx, e)
+        scratch = d_ctx
+        scratch *= summed
+        d_e += scratch
+        np.matmul(grid, d_s, out=scratch)
+        d_e += scratch
+        if attend:
+            # d_grid[j, i] = dα_ij = e_j · ds_i, then the softmax backward
+            # in place: dα'_ij = α_ij (dα_ij - Σ_k α_ik dα_ik).
+            # Sums run as GEMVs against ones, not as short-axis reductions.
+            d_grid = np.matmul(e, d_s.swapaxes(-1, -2))
+            row = np.multiply(grad.reshape(partial.shape), partial)
+            row = np.matmul(row.reshape(-1, width), np.ones(width, dtype=dt))
+            d_grid -= row.reshape(lead + (1, channels))
+            d_grid *= grid
+            if attn_bias.requires_grad:
+                flat = d_grid.reshape(-1, channels)
+                attn_bias._accumulate(
+                    np.matmul(np.ones(len(flat), dtype=dt), flat), owned=True)
+            # α'_ij = k_i · e_j + b_i with k_i = e_i ⊙ W_i, recomputed
+            # into the spent d_s slab.
+            w = attn_weight.data
+            np.matmul(d_grid, np.multiply(e, w, out=d_s), out=scratch)
+            d_e += scratch
+            np.matmul(d_grid.swapaxes(-1, -2), e, out=scratch)   # dk_i
+            if attn_weight.requires_grad:
+                flat = np.multiply(scratch, e, out=d_s).reshape(
+                    -1, channels * size)
+                attn_weight._accumulate(np.matmul(
+                    np.ones(len(flat), dtype=dt), flat).reshape(w.shape),
+                    owned=True)
+            scratch *= w
+            d_e += scratch
+        if embedded.requires_grad:
+            embedded._accumulate(d_e, owned=True)
+
+    return Tensor._make(out_data, params, backward)
+
+
+def feature_attention(embedded, attn_weight=None, attn_bias=None):
+    """Inference-only α grid of :func:`feature_interaction`.
+
+    Takes the op's arguments (tensors or arrays) and returns a plain
+    ``(..., C, C)`` array, no graph: entry ``[.., i, j]`` is the
+    attention of feature ``i`` on its interaction with feature ``j``
+    (the Figures 9-10 signal), computed by the op's own forward helper.
+    ``None`` attention parameters give the uniform ablation grid.
+    """
+    e = as_tensor(embedded).data
+    *lead, channels, _ = e.shape
+    shape = tuple(lead) + (channels, channels)
+    if attn_weight is None:
+        return np.broadcast_to(_uniform_grid(channels, e.dtype),
+                               shape).copy()
+    grid = _interaction_grid(e, as_tensor(attn_weight).data,
+                             as_tensor(attn_bias).data,
+                             np.empty(e.shape, dtype=e.dtype),
+                             np.empty(shape, dtype=e.dtype))
+    return np.ascontiguousarray(grid.swapaxes(-1, -2))
 
 
 def gru_scan_step(x_t, h, w_ih, w_hh, b_ih, b_hh):

@@ -31,14 +31,14 @@ def floor_spec():
 
 
 def test_floor_file_is_well_formed(floor_spec):
-    assert floor_spec["schema"] == "repro.bench/perf-floor-v6"
+    assert floor_spec["schema"] == "repro.bench/perf-floor-v7"
     assert floor_spec["benchmark"]["bucket_by_length"] is True
     assert set(floor_spec["dtypes"]) == {"float32", "float64"}
     for entry in floor_spec["dtypes"].values():
         assert 0 < entry["floor_steps_per_sec"] \
             < entry["measured_steps_per_sec"]
     assert set(floor_spec["scan_models"]) == {"GRU-D", "StageNet",
-                                              "ConCare"}
+                                              "ConCare", "ELDA-Net"}
     for lanes in floor_spec["scan_models"].values():
         assert set(lanes) == {"float32", "float64"}
         for entry in lanes.values():
@@ -68,14 +68,17 @@ def test_training_throughput_above_floor(floor_spec, dtype):
         f"{FLOOR_PATH.name}; see docs/PERFORMANCE.md.")
 
 
-@pytest.mark.parametrize("model_name", ["GRU-D", "StageNet", "ConCare"])
+@pytest.mark.parametrize("model_name",
+                         ["GRU-D", "StageNet", "ConCare", "ELDA-Net"])
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_scan_model_throughput_above_floor(floor_spec, model_name, dtype):
     """GRU-D/StageNet/ConCare run only through their sequence-fused
     scans; dropping below the floor means a scan kernel lost the speed
     it had over the step-unrolled loops it replaced (their float32
     throughput sits under these floors — see BENCH_9.json and the v6
-    note in the floor file)."""
+    note in the floor file).  ELDA-Net's lane (v7) guards its fused
+    feature path (``ops.bi_embedding`` / ``ops.feature_interaction``)
+    on top of the GRU scan."""
     spec = floor_spec["benchmark"]
     result = benchmark_training(
         model_name=model_name, task=spec["task"], epochs=spec["epochs"],

@@ -1,11 +1,12 @@
-"""Test-only reference compositions for the fused recurrent kernels.
+"""Test-only reference compositions for the fused kernels.
 
 Each oracle spells a fused op out of the engine's small autodiff
-primitives, one timestep at a time, exactly as the production layer
-computed it before the kernel existed.  The kernels are held to these
-compositions by tolerance (tests/nn/test_scan_equivalence.py); nothing
-under ``src/`` imports them (tests/test_no_test_imports.py guards
-that).
+primitives (the recurrences one timestep at a time), exactly as the
+production layer computed it before the kernel existed.  The kernels
+are held to these compositions by tolerance
+(tests/nn/test_scan_equivalence.py, tests/nn/test_elda_equivalence.py);
+nothing under ``src/`` imports them (tests/test_no_test_imports.py
+guards that).
 
 Ragged ``lengths`` freeze exhausted rows with a per-step ``where``: a
 row past its length carries its state unchanged, which is the scans'
@@ -138,3 +139,47 @@ def per_feature_gru_reference(values, w_ih, w_hh, bias):
         candidate = ops.tanh(nx + reset * nh)
         h = update * h + (1.0 - update) * candidate
     return h.transpose((1, 0, 2))
+
+
+def bi_embedding_reference(x, table_lower, table_upper, lower, upper):
+    """Eager oracle for :func:`repro.nn.ops.bi_embedding`: paper Eq. 2
+    as ``BiDirectionalEmbedding`` composed it from five ops.
+    """
+    span = upper - lower
+    x_col = x.reshape(*x.shape, 1)
+    toward_upper = (x_col - lower) * table_lower
+    toward_lower = (upper - x_col) * table_upper
+    return (toward_upper + toward_lower) / span
+
+
+def feature_interaction_reference(embedded, attn_weight, attn_bias,
+                                  compress):
+    """Eager oracle for :func:`repro.nn.ops.feature_interaction`: Eqs. 3-6
+    as ``FeatureInteractionModule`` composed them from small ops, with a
+    ``-1e9`` diagonal mask for Eq. 5's ``j != i`` and a concat for Eq. 6.
+    ``None`` attention parameters pool uniformly (the ablation).
+    """
+    num_features = embedded.shape[-2]
+    compression = compress.shape[-1]
+    if attn_weight is not None:
+        diag_mask = np.full((num_features, num_features), 0.0)
+        np.fill_diagonal(diag_mask, -1e9)
+        keyed = embedded * attn_weight                 # e_i ⊙ W_i
+        logits = ops.matmul(keyed, embedded.swapaxes(-1, -2))
+        logits = logits + attn_bias.reshape(-1, 1)
+        logits = logits + Tensor(diag_mask)
+        alpha = ops.softmax(logits, axis=-1)           # (B, T, C, C)
+    else:
+        uniform = np.full((num_features, num_features),
+                          1.0 / (num_features - 1))
+        np.fill_diagonal(uniform, 0.0)
+        alpha = Tensor(np.broadcast_to(
+            uniform, embedded.shape[:2] + uniform.shape).copy())
+
+    summed = ops.matmul(alpha, embedded)               # Σ_j α_ij e_j
+    context = embedded * summed                        # c_i = e_i ⊙ Σ α e_j
+    enriched = ops.concat([embedded, context], axis=-1)
+    compressed = ops.matmul(ops.relu(enriched), compress)
+
+    batch, steps = compressed.shape[0], compressed.shape[1]
+    return compressed.reshape(batch, steps, num_features * compression)

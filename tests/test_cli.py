@@ -354,6 +354,18 @@ class TestLoadtestCommand:
         assert len(list(tmp_path.glob("SERVE_*.json"))) == 1
 
     @pytest.mark.pool
+    def test_report_defaults_to_the_run_dir(self, trained_run_dir,
+                                            tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        before = set(trained_run_dir.glob("SERVE_*.json"))
+        code = main(["loadtest", "--run-dir", str(trained_run_dir),
+                     "--workers", "1", "--requests", "4", "--streams", "0",
+                     "--max-seconds", "60"], out=io.StringIO())
+        assert code == 0
+        assert not list(tmp_path.glob("SERVE_*.json"))
+        assert len(set(trained_run_dir.glob("SERVE_*.json")) - before) == 1
+
+    @pytest.mark.pool
     def test_floor_violation_fails_the_command(self, trained_run_dir,
                                                tmp_path):
         floor_path = tmp_path / "floor.json"
