@@ -33,7 +33,9 @@ class RETAIN(Module, InferenceMixin):
         self.embed = Dense(num_features, embedding_size, rng, use_bias=False)
         self.alpha_gru = GRU(embedding_size, alpha_hidden, rng)
         self.beta_gru = GRU(embedding_size, beta_hidden, rng)
-        self.alpha_score = Dense(alpha_hidden, 1, rng)
+        # No bias: the visit scores are softmaxed over time, which
+        # cancels any score offset shared by every visit.
+        self.alpha_score = Dense(alpha_hidden, 1, rng, use_bias=False)
         self.beta_gate = Dense(beta_hidden, embedding_size, rng)
         self.weight = Parameter(nn.init.glorot_uniform((embedding_size, 1), rng))
         self.bias = Parameter(np.zeros(1))

@@ -46,7 +46,8 @@ class StageNet(Module, InferenceMixin):
                                 activation="sigmoid")
         self.conv = Conv1D(hidden_size, conv_channels, kernel_size, rng,
                            activation="relu")
-        self.attn = Dense(conv_channels, 1, rng)
+        # No bias: the softmax over time cancels a shared score offset.
+        self.attn = Dense(conv_channels, 1, rng, use_bias=False)
         self.weight = Parameter(
             nn.init.glorot_uniform((conv_channels + hidden_size, 1), rng))
         self.bias = Parameter(np.zeros(1))

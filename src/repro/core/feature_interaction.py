@@ -10,11 +10,15 @@ attends over them with a per-feature attention network
 aggregates ``c_i = Σ_j α_ij r_ij``, and compresses the enriched feature
 ``[e_i; c_i]`` into a ``d``-dimensional representation (Eq. 6).
 
+The bias ``b_i^α`` is the same for every ``j`` of a fixed ``i``, so the
+softmax over ``j`` cancels it: it never changes α, gets no gradient, and
+is not a parameter here.
+
 Implementation note: the whole computation is one graph node,
 :func:`repro.nn.ops.feature_interaction`.  It never materializes the
 (B, T, C, C, e) interaction tensor, using the identities
 
-    α'_ij = ((e_i ⊙ W_i) · e_j) + b_i  and  c_i = e_i ⊙ (Σ_j α_ij e_j)
+    α'_ij = (e_i ⊙ W_i) · e_j  and  c_i = e_i ⊙ (Σ_j α_ij e_j)
 
 for a (B, T, C, C) attention grid and two batched matmuls, and it
 splits Eq. 6's compress as
@@ -28,8 +32,6 @@ inference signal and carry no gradient.
 """
 
 from __future__ import annotations
-
-from ..nn.backend import xp as np
 
 from .. import nn
 from ..nn import ops
@@ -63,10 +65,9 @@ class FeatureInteractionModule(Module):
         self.embedding_size = embedding_size
         self.compression = compression
         self.use_attention = use_attention
-        # W^α ∈ R^{C×e}, b^α ∈ R^C: one attention scorer per feature i.
+        # W^α ∈ R^{C×e}: one attention scorer per feature i.
         self.attn_weight = Parameter(
             nn.init.glorot_uniform((num_features, embedding_size), rng))
-        self.attn_bias = Parameter(np.zeros(num_features))
         # p ∈ R^{2e×d}: shared compression of [e_i; c_i].
         self.compress = Parameter(
             nn.init.glorot_uniform((2 * embedding_size, compression), rng))
@@ -89,13 +90,9 @@ class FeatureInteractionModule(Module):
         Tensor (batch, time, features * compression) — the x̃_t sequence —
         and optionally the attention grid (a constant: no gradient).
         """
-        if self.use_attention:
-            weight, bias = self.attn_weight, self.attn_bias
-        else:
-            weight = bias = None
-        flat = ops.feature_interaction(embedded, weight, bias,
-                                       self.compress)
+        weight = self.attn_weight if self.use_attention else None
+        flat = ops.feature_interaction(embedded, weight, self.compress)
         if return_attention:
-            alpha = ops.feature_attention(embedded, weight, bias)
+            alpha = ops.feature_attention(embedded, weight)
             return flat, nn.Tensor(alpha)
         return flat

@@ -10,12 +10,12 @@ step and every earlier step,
     g_T   = Σ_i β_iT s_iT                     (Eq. 11)
 
 and returns the comprehensive representation ``h̃_T = [h_T; g_T]``.  The β
-weights are the time-level interpretability signal of Figure 8.
+weights are the time-level interpretability signal of Figure 8.  The
+scalar ``b^β`` shifts every score of the softmax over ``i`` alike, so
+it cancels and is not a parameter.
 """
 
 from __future__ import annotations
-
-from ..nn.backend import xp as np
 
 from .. import nn
 from ..nn import ops
@@ -44,7 +44,6 @@ class TimeInteractionModule(Module):
         self.gru = GRU(input_size, hidden_size, rng)
         self.attn_weight = Parameter(
             nn.init.glorot_uniform((hidden_size, 1), rng))
-        self.attn_bias = Parameter(np.zeros(1))
 
     def forward(self, sequence, return_attention=False):
         """Encode a sequence and fuse time-level interactions.
@@ -76,7 +75,7 @@ class TimeInteractionModule(Module):
         last = states[:, -1, :]                        # h_T
         earlier = states[:, :-1, :]                    # h_1..h_{T-1}
         interactions = earlier * last.reshape(-1, 1, self.hidden_size)
-        scores = ops.matmul(interactions, self.attn_weight) + self.attn_bias
+        scores = ops.matmul(interactions, self.attn_weight)
         beta = ops.softmax(scores, axis=1)             # (B, T-1, 1)
         summary = ops.sum(beta * interactions, axis=1)  # g_T
         fused = ops.concat([last, summary], axis=-1)

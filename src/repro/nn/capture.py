@@ -24,7 +24,7 @@ no per-op Tensor boxing:
   replay through the very out=-buffered helpers their eager forwards
   call, into slabs pinned at trace time;
 * composite or fused ops with no hand kernel (``var``, ``gru_scan``,
-  ``lstm_scan`` …) fall back to re-running their eager forward on the
+  ``grud_scan`` …) fall back to re-running their eager forward on the
   retained argument tensors — whose ``.data`` *are* the live buffers —
   and copying the result into the step's output buffer.  Exact by
   construction, at the cost of that one op's eager allocations.
@@ -120,8 +120,8 @@ def _classify(obj, serial_of, param_index):
     ``param`` — a tensor over a registered parameter array;
     ``const`` — any other array-valued argument, baked by reference;
     ``lit`` — plain python values (axes, shapes, slices, floats).
-    Sequences recurse so list-taking ops (``concat``, ``stack``)
-    classify per element.
+    Sequences recurse so list-taking ops (``concat``) classify per
+    element.
     """
     if isinstance(obj, Tensor):
         arr = obj.data
@@ -275,22 +275,6 @@ def _build_relu(args, kwargs, out):
     return thunk
 
 
-def _build_leaky_relu(args, kwargs, out):
-    a = _operand(args[0], out.dtype)
-    negative_slope = _param(args, kwargs, 1, "negative_slope", 0.01)
-    dt = a.dtype
-    one, slope_val = dt.type(1.0), dt.type(negative_slope)
-    mask = np.empty(a.shape, dtype=bool)
-    slope = np.empty(a.shape, dtype=dt)
-
-    def thunk():
-        np.greater(a, 0, out=mask)
-        slope.fill(slope_val)
-        np.copyto(slope, one, where=mask)
-        np.multiply(a, slope, out=out)
-    return thunk
-
-
 def _build_sigmoid(args, kwargs, out):
     a = _operand(args[0], out.dtype)
 
@@ -332,25 +316,6 @@ def _build_where(args, kwargs, out):
     return thunk
 
 
-def _extremum_kernel(primary):
-    """maximum / minimum: mirror the tie-aware ``np.where`` select."""
-    compare = np.greater if primary == "max" else np.less
-
-    def build(args, kwargs, out):
-        a, b = (_operand(args[0], out.dtype), _operand(args[1], out.dtype))
-        wins = np.empty(out.shape, dtype=bool)
-        ties = np.empty(out.shape, dtype=bool)
-
-        def thunk():
-            compare(a, b, out=wins)
-            np.equal(a, b, out=ties)
-            np.logical_or(wins, ties, out=wins)
-            np.copyto(out, b)
-            np.copyto(out, a, where=wins)
-        return thunk
-    return build
-
-
 def _reduction_kernel(reducer):
     def build(args, kwargs, out):
         a = _operand(args[0], out.dtype)
@@ -373,14 +338,6 @@ def _build_matmul(args, kwargs, out):
     return thunk
 
 
-def _build_outer_last(args, kwargs, out):
-    a, b = _operand(args[0], out.dtype), _operand(args[1], out.dtype)
-
-    def thunk():
-        np.multiply(a[..., :, None], b[..., None, :], out=out)
-    return thunk
-
-
 def _build_softmax(args, kwargs, out):
     a = _operand(args[0], out.dtype)
     axis = _param(args, kwargs, 1, "axis", -1)
@@ -396,32 +353,13 @@ def _build_softmax(args, kwargs, out):
     return thunk
 
 
-def _build_log_softmax(args, kwargs, out):
-    a = _operand(args[0], out.dtype)
+def _build_concat(args, kwargs, out):
+    arrays = [_operand(t, out.dtype) for t in args[0]]
     axis = _param(args, kwargs, 1, "axis", -1)
-    peak = np.empty_like(a.max(axis=axis, keepdims=True))
-    total = np.empty_like(peak)
-    exped = np.empty_like(out)
 
     def thunk():
-        np.amax(a, axis=axis, keepdims=True, out=peak)
-        np.subtract(a, peak, out=out)
-        np.exp(out, out=exped)
-        np.sum(exped, axis=axis, keepdims=True, out=total)
-        np.log(total, out=total)
-        np.subtract(out, total, out=out)
+        np.concatenate(arrays, axis=axis, out=out)
     return thunk
-
-
-def _stacking_kernel(joiner, default_axis):
-    def build(args, kwargs, out):
-        arrays = [_operand(t, out.dtype) for t in args[0]]
-        axis = _param(args, kwargs, 1, "axis", default_axis)
-
-        def thunk():
-            joiner(arrays, axis=axis, out=out)
-        return thunk
-    return build
 
 
 def _build_pad_last(args, kwargs, out):
@@ -433,16 +371,6 @@ def _build_pad_last(args, kwargs, out):
 
     def thunk():
         np.copyto(interior, a)
-    return thunk
-
-
-def _build_embedding_lookup(args, kwargs, out):
-    table = _operand(args[0], out.dtype)
-    indices = np.asarray(_param(args, kwargs, 1, "indices", None),
-                         dtype=np.int64)
-
-    def thunk():
-        np.take(table, indices, axis=0, out=out)
     return thunk
 
 
@@ -487,8 +415,7 @@ def _build_bi_embedding(args, kwargs, out):
 def _build_feature_interaction(args, kwargs, out):
     embedded = _operand(args[0], out.dtype)
     weight = _param(args, kwargs, 1, "attn_weight", None)
-    bias = _param(args, kwargs, 2, "attn_bias", None)
-    compress = _operand(_param(args, kwargs, 3, "compress", None), out.dtype)
+    compress = _operand(_param(args, kwargs, 2, "compress", None), out.dtype)
     *lead, channels, _ = embedded.shape
     lead = tuple(lead)
     width = compress.shape[-1]
@@ -500,12 +427,12 @@ def _build_feature_interaction(args, kwargs, out):
     if weight is None:
         grid = ops._uniform_grid(channels, dt)
     else:
-        weight, bias = _operand(weight, dt), _operand(bias, dt)
+        weight = _operand(weight, dt)
         grid = np.empty(lead + (channels, channels), dtype=dt)
 
     def thunk():
         if weight is not None:
-            ops._interaction_grid(embedded, weight, bias, relu_e, grid)
+            ops._interaction_grid(embedded, weight, relu_e, grid)
         ops._interaction_enrich(embedded, grid, compress, summed, relu_e,
                                 relu_ctx, partial, out4)
     return thunk
@@ -522,26 +449,17 @@ _KERNEL_BUILDERS = {
     "log": _unary_kernel(np.log),
     "sqrt": _unary_kernel(np.sqrt),
     "tanh": _unary_kernel(np.tanh),
-    "abs": _unary_kernel(np.abs),
     "clip": _build_clip,
     "relu": _build_relu,
-    "leaky_relu": _build_leaky_relu,
     "sigmoid": _build_sigmoid,
     "abs_lt": _build_abs_lt,
     "where": _build_where,
-    "maximum": _extremum_kernel("max"),
-    "minimum": _extremum_kernel("min"),
     "sum": _reduction_kernel(np.sum),
     "mean": _reduction_kernel(np.mean),
-    "max": _reduction_kernel(np.amax),
     "matmul": _build_matmul,
-    "outer_last": _build_outer_last,
     "softmax": _build_softmax,
-    "log_softmax": _build_log_softmax,
-    "concat": _stacking_kernel(np.concatenate, -1),
-    "stack": _stacking_kernel(np.stack, 0),
+    "concat": _build_concat,
     "pad_last": _build_pad_last,
-    "embedding_lookup": _build_embedding_lookup,
     "bi_embedding": _build_bi_embedding,
     "feature_interaction": _build_feature_interaction,
     "reshape": _build_reshape,

@@ -1,18 +1,16 @@
 """Neural network layers built on the :mod:`repro.nn` autodiff engine."""
 
 from .attention import (AdditiveAttention, GeneralAttention, LocationAttention,
-                        MultiHeadSelfAttention, attention_pool)
+                        MultiHeadSelfAttention)
 from .conv import Conv1D
 from .dense import MLP, Dense
-from .dropout import Dropout
-from .embedding import Embedding, positional_encoding
+from .embedding import positional_encoding
 from .norm import LayerNorm
-from .recurrent import GRU, LSTM, BiGRU, GRUCell, LSTMCell
+from .recurrent import GRU, BiGRU, GRUCell, LSTMCell
 
 __all__ = [
-    "Dense", "MLP", "Dropout", "LayerNorm", "Conv1D",
-    "Embedding", "positional_encoding",
-    "GRUCell", "GRU", "LSTMCell", "LSTM", "BiGRU",
+    "Dense", "MLP", "LayerNorm", "Conv1D", "positional_encoding",
+    "GRUCell", "GRU", "LSTMCell", "BiGRU",
     "LocationAttention", "GeneralAttention", "AdditiveAttention",
-    "MultiHeadSelfAttention", "attention_pool",
+    "MultiHeadSelfAttention",
 ]

@@ -21,7 +21,7 @@ from ..module import Module, Parameter
 from .dense import Dense
 
 __all__ = ["LocationAttention", "GeneralAttention", "AdditiveAttention",
-           "MultiHeadSelfAttention", "attention_pool"]
+           "MultiHeadSelfAttention"]
 
 
 def _causal_mask(steps):
@@ -44,28 +44,20 @@ def _causal_mask(steps):
 _CAUSAL_MASKS = {}
 
 
-def attention_pool(scores, values, axis=1):
-    """Softmax ``scores`` along ``axis`` and return the weighted sum of values.
-
-    Returns ``(context, weights)`` so callers can expose the weights for
-    interpretability.
-    """
-    weights = ops.softmax(scores, axis=axis)
-    context = ops.sum(weights * values, axis=axis)
-    return context, weights
-
-
 class LocationAttention(Module):
-    """Score each time step from its own hidden state: ``a_t = w^T h_t + b``."""
+    """Score each time step from its own hidden state: ``a_t = w^T h_t``.
+
+    The usual ``+ b`` is constant over the time axis the scores are
+    softmaxed along, so it cancels and is not a parameter.
+    """
 
     def __init__(self, hidden_size, rng):
         super().__init__()
         self.weight = Parameter(init.glorot_uniform((hidden_size, 1), rng))
-        self.bias = Parameter(np.zeros(1))
 
     def forward(self, states):
         """``states``: (batch, time, hidden) -> scores (batch, time, 1)."""
-        return ops.matmul(states, self.weight) + self.bias
+        return ops.matmul(states, self.weight)
 
 
 class GeneralAttention(Module):

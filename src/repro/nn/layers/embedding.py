@@ -1,27 +1,12 @@
-"""Embedding layers for categorical indices and positional encodings."""
+"""Sinusoidal positional encodings."""
 
 from __future__ import annotations
 
 from ..backend import xp as np
 
-from .. import init, ops
-from ..module import Module, Parameter
 from ..tensor import Tensor
 
-__all__ = ["Embedding", "positional_encoding"]
-
-
-class Embedding(Module):
-    """Lookup table mapping integer indices to dense vectors."""
-
-    def __init__(self, num_embeddings, embedding_size, rng):
-        super().__init__()
-        self.num_embeddings = num_embeddings
-        self.embedding_size = embedding_size
-        self.table = Parameter(init.normal((num_embeddings, embedding_size), rng))
-
-    def forward(self, indices):
-        return ops.embedding_lookup(self.table, indices)
+__all__ = ["positional_encoding"]
 
 
 def positional_encoding(steps, model_size):

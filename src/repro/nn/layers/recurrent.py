@@ -1,13 +1,14 @@
-"""Recurrent layers: GRU, LSTM, and bidirectional wrappers.
+"""Recurrent layers: GRU cells and sequences, the LSTM cell, BiGRU.
 
 Sequences are represented as tensors of shape ``(batch, time, features)``.
-GRU/LSTM run through the sequence-fused scan kernels
-(:func:`repro.nn.ops.gru_scan` / :func:`repro.nn.ops.lstm_scan`): one
-graph node per sequence with a hand-derived backward, instead of one
-node chain per timestep.  The cells are the single-step op-by-op
-compositions; ``tests/nn/test_scan_equivalence.py`` holds each scan to
-a step-unrolled loop over its cell (``tests/nn/oracles.py``) in both
-dtype planes.
+:class:`GRU` runs through the sequence-fused scan kernel
+(:func:`repro.nn.ops.gru_scan`): one graph node per sequence with a
+hand-derived backward, instead of one node chain per timestep.  The
+cells are the single-step op-by-op compositions;
+``tests/nn/test_scan_equivalence.py`` holds each scan to a step-unrolled
+loop over its cell (``tests/nn/oracles.py``) in both dtype planes.
+:class:`LSTMCell` carries StageNet's parameters, which
+:func:`repro.nn.ops.stagenet_scan` runs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from ..dtype import get_default_dtype
 from ..module import Module, Parameter
 from ..tensor import Tensor
 
-__all__ = ["GRUCell", "GRU", "LSTMCell", "LSTM", "BiGRU"]
+__all__ = ["GRUCell", "GRU", "LSTMCell", "BiGRU"]
 
 
 class GRUCell(Module):
@@ -128,52 +129,6 @@ class LSTMCell(Module):
         c_next = f * c + i * g
         h_next = o * ops.tanh(c_next)
         return h_next, c_next
-
-
-class LSTM(Module):
-    """LSTM over a full sequence.
-
-    Like :class:`GRU`, runs through one scan kernel,
-    :func:`repro.nn.ops.lstm_scan`, and accepts optional per-row
-    ``lengths``.
-    """
-
-    def __init__(self, input_size, hidden_size, rng, return_sequences=True):
-        super().__init__()
-        self.cell = LSTMCell(input_size, hidden_size, rng)
-        self.hidden_size = hidden_size
-        self.return_sequences = return_sequences
-
-    def forward(self, x, state=None, lengths=None):
-        batch = x.shape[0]
-        if state is None:
-            h = Tensor(np.zeros((batch, self.hidden_size)))
-            c = Tensor(np.zeros((batch, self.hidden_size)))
-        else:
-            h, c = state
-        cell = self.cell
-        return ops.lstm_scan(x, h, c, cell.w_ih, cell.w_hh, cell.bias,
-                             lengths=lengths,
-                             return_sequences=self.return_sequences)
-
-    # -- streaming inference (serve tier) ------------------------------
-    def initial_state(self, batch_size):
-        """Zero ``(h, c)`` state for :meth:`stream_step` (policy dtype)."""
-        dtype = get_default_dtype()
-        return (np.zeros((batch_size, self.hidden_size), dtype=dtype),
-                np.zeros((batch_size, self.hidden_size), dtype=dtype))
-
-    def stream_step(self, x_t, state):
-        """One inference-only step; ``state`` is ``(h, c)`` arrays.
-
-        Bit-identical to one step of the fused scan
-        (:func:`repro.nn.ops.lstm_scan_step`); see :meth:`GRU.stream_step`.
-        """
-        cell = self.cell
-        h, c = state
-        x_t = np.asarray(x_t, dtype=get_default_dtype())
-        return ops.lstm_scan_step(x_t, h, c, cell.w_ih.data,
-                                  cell.w_hh.data, cell.bias.data)
 
 
 class BiGRU(Module):

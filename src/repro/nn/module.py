@@ -18,7 +18,25 @@ from .backend import xp as np
 
 from .tensor import Tensor
 
-__all__ = ["Parameter", "Module", "ModuleList"]
+__all__ = ["Parameter", "Module", "ModuleList", "RETIRED_PARAMETERS",
+           "RetiredParameterWarning"]
+
+#: Parameter names that older checkpoints hold but the models no longer
+#: have: attention-score biases that a softmax over the scored axis
+#: cancels (they never changed an output and never got a gradient).
+#: :meth:`Module.load_state_dict` drops them, whatever their values.
+RETIRED_PARAMETERS = frozenset({
+    "alpha_score.bias",           # RETAIN's visit-attention score
+    "attention.bias",             # Dipole_l's LocationAttention
+    "attn.bias",                  # StageNet's pattern-attention score
+    "feature_module.attn_bias",   # ELDA-Net's b^α (Eq. 4)
+    "time_module.attn_bias",      # ELDA-Net's b^β (Eq. 9)
+})
+
+
+class RetiredParameterWarning(UserWarning):
+    """A loaded state dict carried parameters the model no longer has
+    (:data:`RETIRED_PARAMETERS`); they were dropped."""
 
 
 class Parameter(Tensor):
@@ -121,14 +139,25 @@ class Module:
         dtype the model was built under), keeping checkpoint round-trips
         dtype-stable.  A precision-*losing* cast — e.g. a float64
         checkpoint loaded into a float32 model — emits a single
-        ``UserWarning`` naming the transition.
+        ``UserWarning`` naming the transition.  Keys in
+        :data:`RETIRED_PARAMETERS` that the model lacks are dropped with
+        one :class:`RetiredParameterWarning`; any other unexpected or
+        missing key raises ``KeyError``.
         """
         own = dict(self.named_parameters())
+        retired = sorted((set(state) - set(own)) & RETIRED_PARAMETERS)
+        state = {name: value for name, value in state.items()
+                 if name not in retired}
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
         if missing or unexpected:
             raise KeyError(f"state dict mismatch: missing={sorted(missing)}, "
                            f"unexpected={sorted(unexpected)}")
+        if retired:
+            warnings.warn(
+                f"dropped retired parameters {retired}: softmax-cancelled "
+                "attention biases that no longer exist",
+                RetiredParameterWarning, stacklevel=2)
         narrowed = None
         for name, value in state.items():
             param = own[name]

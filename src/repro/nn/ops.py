@@ -53,22 +53,18 @@ from .tensor import Tensor, as_tensor, is_grad_enabled, unbroadcast
 
 __all__ = [
     "add", "sub", "mul", "div", "neg", "power", "matmul", "exp", "log",
-    "sqrt", "tanh", "sigmoid", "relu", "leaky_relu", "clip", "abs",
-    "abs_lt", "maximum", "minimum", "sum", "mean", "max", "min", "var",
-    "reshape", "transpose", "swapaxes", "getitem", "concat", "stack",
-    "split", "softmax", "log_softmax",
-    "softmax_cross_entropy", "where", "dropout_mask", "pad_last",
-    "outer_last", "embedding_lookup", "gru_scan",
-    "per_feature_gru_scan", "lstm_scan", "grud_scan", "stagenet_scan",
+    "sqrt", "tanh", "sigmoid", "relu", "clip", "abs_lt", "sum", "mean",
+    "var", "reshape", "transpose", "swapaxes", "getitem", "concat",
+    "split", "softmax", "softmax_cross_entropy", "where", "pad_last",
+    "gru_scan", "per_feature_gru_scan", "grud_scan", "stagenet_scan",
     "bi_embedding", "feature_interaction",
 ]
-# gru_scan_step / per_feature_gru_scan_step / lstm_scan_step /
-# grud_scan_step / stagenet_scan_step / linear_rows / feature_attention
-# are deliberately NOT in __all__: they are inference-only array kernels
-# (no Tensor, no graph, no backward) behind the streaming stream_step
-# hooks and the attention readout, and __all__
-# doubles as the differentiable-op registry contract
-# (tests/nn/test_gradcheck_registry).
+# gru_scan_step / per_feature_gru_scan_step / grud_scan_step /
+# stagenet_scan_step / linear_rows / feature_attention are deliberately
+# NOT in __all__: they are inference-only array kernels (no Tensor, no
+# graph, no backward) behind the streaming stream_step hooks and the
+# attention readout, and __all__ doubles as the differentiable-op
+# registry contract (tests/nn/test_gradcheck_registry).
 
 
 # ----------------------------------------------------------------------
@@ -304,20 +300,6 @@ def power(a, exponent):
 
 
 @differentiable(lambda rng: [
-    OpSample(lambda a: sum(abs(a)), _away_from_zero(rng, (6,))),
-])
-def abs(a):  # noqa: A001 - mirrors numpy naming
-    """Elementwise absolute value (subgradient 0 at 0)."""
-    a = as_tensor(a)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * np.sign(a.data), owned=True)
-
-    return Tensor._make(np.abs(a.data), (a,), backward)
-
-
-@differentiable(lambda rng: [
     # Values kept away from the threshold so finite differences see a
     # locally constant indicator (gradient exactly zero / exactly one
     # through the product).
@@ -338,69 +320,6 @@ def abs_lt(a, threshold):
     dt = a.data.dtype
     out = (np.abs(a.data) < dt.type(threshold)).astype(dt)
     return Tensor._make(out, (), None)
-
-
-def _tie_samples(rng, op_name):
-    """Samples for maximum/minimum: a generic pair plus an exact-tie pair."""
-    fn = _REGISTRY[op_name].fn
-    a = rng.normal(size=(5,))
-    offsets = rng.choice([-0.75, 0.75], size=(5,))
-    b_tied = a.copy()
-    b_tied[::2] += offsets[::2]          # odd positions tie exactly
-    return [
-        OpSample(lambda x, y: sum(fn(x, y)),
-                 rng.normal(size=(4,)) , rng.normal(size=(4,)) + 2.5),
-        OpSample(lambda x, y: sum(fn(x, y)), a, b_tied),
-        OpSample(lambda x, y: _sqsum(fn(x, y)),
-                 rng.normal(size=(3, 4)), rng.normal(size=(4,))),
-    ]
-
-
-@differentiable(lambda rng: _tie_samples(rng, "maximum"))
-def maximum(a, b):
-    """Elementwise maximum; exact ties split the gradient evenly.
-
-    The even split matches central finite differences (each tied input
-    receives half the sensitivity), which a winner-take-all subgradient
-    would not.
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    a_wins = a.data > b.data
-    tie = a.data == b.data
-    out_data = np.where(a_wins | tie, a.data, b.data)
-    # Built with an explicit dtype: bool + python-float arithmetic would
-    # promote the coefficients (and thus the gradients) to float64.
-    coeff_a = a_wins.astype(out_data.dtype)
-    coeff_a[tie] = 0.5
-    coeff_b = 1.0 - coeff_a
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(unbroadcast(grad * coeff_a, a.shape), owned=True)
-        if b.requires_grad:
-            b._accumulate(unbroadcast(grad * coeff_b, b.shape), owned=True)
-
-    return Tensor._make(out_data, (a, b), backward)
-
-
-@differentiable(lambda rng: _tie_samples(rng, "minimum"))
-def minimum(a, b):
-    """Elementwise minimum; exact ties split the gradient evenly."""
-    a, b = as_tensor(a), as_tensor(b)
-    a_wins = a.data < b.data
-    tie = a.data == b.data
-    out_data = np.where(a_wins | tie, a.data, b.data)
-    coeff_a = a_wins.astype(out_data.dtype)
-    coeff_a[tie] = 0.5
-    coeff_b = 1.0 - coeff_a
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(unbroadcast(grad * coeff_a, a.shape), owned=True)
-        if b.requires_grad:
-            b._accumulate(unbroadcast(grad * coeff_b, b.shape), owned=True)
-
-    return Tensor._make(out_data, (a, b), backward)
 
 
 @differentiable(lambda rng: [
@@ -558,26 +477,6 @@ def relu(a):
     return Tensor._make(out_data, (a,), backward)
 
 
-@differentiable(lambda rng: [
-    OpSample(lambda a: sum(leaky_relu(a, 0.1)), _away_from_zero(rng, (7,))),
-])
-def leaky_relu(a, negative_slope=0.01):
-    """Leaky ReLU with configurable negative-side slope."""
-    a = as_tensor(a)
-    mask = a.data > 0
-    # np.where with python-float branches yields float64; pin the policy
-    # dtype so the slope (and every gradient through it) stays put.
-    dt = a.data.dtype
-    slope = np.where(mask, dt.type(1.0), dt.type(negative_slope))
-    out_data = a.data * slope
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * slope, owned=True)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
 # ----------------------------------------------------------------------
 # Reductions
 # ----------------------------------------------------------------------
@@ -636,47 +535,6 @@ def mean(a, axis=None, keepdims=False):
                           owned=True)
 
     return Tensor._make(out_data, (a,), backward)
-
-
-def _distinct(rng, shape):
-    """Values with well-separated magnitudes (unambiguous arg-extrema)."""
-    size = int(np.prod(shape))
-    return (np.linspace(0.0, 1.0, size).reshape(shape)
-            + rng.normal(size=shape) * 0.01)
-
-
-@differentiable(lambda rng: [
-    OpSample(lambda a: sum(max(a, axis=1)), _distinct(rng, (3, 4))),
-    OpSample(lambda a: max(a), _distinct(rng, (6,))),
-    OpSample(lambda a: _sqsum(max(a, axis=0, keepdims=True)),
-             _distinct(rng, (3, 4))),
-    # two exactly-tied maxima: the gradient splits 0.5 / 0.5
-    OpSample(lambda a: max(a), np.array([0.2, 1.5, -0.3, 1.5])),
-])
-def max(a, axis=None, keepdims=False):  # noqa: A001
-    """Maximum over the given axis; gradient is split evenly among ties."""
-    a = as_tensor(a)
-    out_data = a.data.max(axis=axis, keepdims=keepdims)
-    expanded = a.data.max(axis=axis, keepdims=True) if axis is not None else out_data
-    mask = (a.data == expanded).astype(a.data.dtype)
-    mask /= mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(_expand_reduced(grad, a.shape, axis, keepdims) * mask,
-                          owned=True)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-@differentiable(lambda rng: [
-    OpSample(lambda a: sum(min(a, axis=0)), _distinct(rng, (3, 4))),
-    OpSample(lambda a: min(a), _distinct(rng, (6,))),
-    OpSample(lambda a: min(a), np.array([0.2, -1.5, 0.3, -1.5])),
-])
-def min(a, axis=None, keepdims=False):  # noqa: A001
-    """Minimum over the given axis; gradient is split evenly among ties."""
-    return neg(max(neg(a), axis=axis, keepdims=keepdims))
 
 
 @differentiable(lambda rng: [
@@ -749,31 +607,6 @@ def matmul(a, b):
                     if grad_b.ndim > 1:
                         grad_b = grad_b.sum(axis=tuple(range(grad_b.ndim - 1)))
             b._accumulate(unbroadcast(grad_b, b.shape), owned=True)
-
-    return Tensor._make(out_data, (a, b), backward)
-
-
-@differentiable(lambda rng: [
-    OpSample(lambda a, b: _sqsum(outer_last(a, b)),
-             rng.normal(size=(2, 3)), rng.normal(size=(2, 3))),
-    OpSample(lambda a, b: _sqsum(outer_last(a, b)),
-             rng.normal(size=(2, 3)), rng.normal(size=(2, 4))),
-])
-def outer_last(a, b):
-    """Pairwise product over the last axis: ``out[..., i, j] = a[..., i] * b[..., j]``.
-
-    Used to form explicit pairwise interaction grids without a Python loop.
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data[..., :, None] * b.data[..., None, :]
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(unbroadcast((grad * b.data[..., None, :]).sum(-1), a.shape),
-                          owned=True)
-        if b.requires_grad:
-            b._accumulate(unbroadcast((grad * a.data[..., :, None]).sum(-2), b.shape),
-                          owned=True)
 
     return Tensor._make(out_data, (a, b), backward)
 
@@ -912,26 +745,6 @@ def concat(tensors, axis=-1):
     return Tensor._make(out_data, tuple(tensors), backward)
 
 
-@differentiable(lambda rng: [
-    OpSample(lambda a, b: _sqsum(stack([a, b], axis=1)),
-             rng.normal(size=(2, 3)), rng.normal(size=(2, 3))),
-    OpSample(lambda a, b: _sqsum(stack([a, b], axis=-1)),
-             rng.normal(size=(2, 3)), rng.normal(size=(2, 3))),
-])
-def stack(tensors, axis=0):
-    """Stack tensors along a new axis."""
-    tensors = [as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad):
-        slices = np.moveaxis(grad, axis, 0)
-        for t, g in zip(tensors, slices):
-            if t.requires_grad:
-                t._accumulate(g)
-
-    return Tensor._make(out_data, tuple(tensors), backward)
-
-
 def _split_weighted(a, sections, axis):
     parts = split(a, sections, axis=axis)
     total = None
@@ -1004,28 +817,6 @@ def softmax(a, axis=-1):
 
 
 @differentiable(lambda rng: [
-    OpSample(lambda a: sum(mul(log_softmax(a, axis=-1), np.arange(4.0))),
-             rng.normal(size=(2, 4))),
-    OpSample(lambda a: _sqsum(log_softmax(a, axis=0)),
-             rng.normal(size=(3, 2))),
-])
-def log_softmax(a, axis=-1):
-    """Numerically stable log-softmax along ``axis``."""
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - log_z
-    soft = np.exp(out_data)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad - soft * grad.sum(axis=axis, keepdims=True),
-                          owned=True)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-@differentiable(lambda rng: [
     OpSample(lambda a: mean(softmax_cross_entropy(a, np.array([0, 2, 1]))),
              rng.normal(size=(3, 4))),
     OpSample(lambda a: sum(softmax_cross_entropy(a, np.array([1]))),
@@ -1037,9 +828,10 @@ def softmax_cross_entropy(logits, targets):
     ``logits`` is (batch, classes); ``targets`` a constant integer class
     vector.  Returns the per-sample loss vector (callers reduce).  The
     forward values are bit-identical to the unfused composition
-    ``neg(getitem(log_softmax(logits), (rows, targets)))``; the single
-    backward closure replaces four graph nodes (and getitem's
-    ``np.add.at`` scatter) with one dense update.
+    ``neg(getitem(log_softmax(logits), (rows, targets)))`` (kept as an
+    oracle in ``tests/nn/oracles.py``); the single backward closure
+    replaces the composition's graph nodes (and getitem's ``np.add.at``
+    scatter) with one dense update.
     """
     logits = as_tensor(logits)
     targets = np.asarray(targets, dtype=np.int64)
@@ -1154,7 +946,7 @@ def _gru_gates_backward_into(dh, g_act, nh, h_prev, dgx, dgh, om):
 
 
 def _lstm_gates_into(gt, gh, c_prev, g_act, c_new, tc, h_new, tmp):
-    """The LSTM gate tail shared by the LSTM-family scans and stream steps.
+    """The LSTM gate tail shared by the StageNet scan and its stream step.
 
     Gates on the last axis, laid out ``[i | f | g | o]``: ``gh`` (the
     recurrent projection) is added into ``gt`` (the input-side
@@ -1588,135 +1380,6 @@ def per_feature_gru_scan(values, w_ih, w_hh, bias):
     return Tensor._make(out_data, (values, w_ih, w_hh, bias), backward)
 
 
-def _lstm_scan_sample(rng):
-    batch, steps, num_in, hidden = 2, 3, 3, 2
-
-    def arrays():
-        return (rng.normal(size=(batch, steps, num_in)),
-                rng.normal(size=(batch, hidden)),
-                rng.normal(size=(batch, hidden)),
-                rng.normal(size=(num_in, 4 * hidden)) * 0.5,
-                rng.normal(size=(hidden, 4 * hidden)) * 0.5,
-                rng.normal(size=4 * hidden) * 0.1)
-
-    ragged = np.array([2, 3])
-    return [
-        OpSample(lambda x, h, c, wi, wh, b: _sqsum(
-            lstm_scan(x, h, c, wi, wh, b)), *arrays()),
-        OpSample(lambda x, h, c, wi, wh, b: _sqsum(
-            lstm_scan(x, h, c, wi, wh, b, lengths=ragged,
-                      return_sequences=False)), *arrays()),
-    ]
-
-
-@differentiable(_lstm_scan_sample)
-def lstm_scan(x, h0, c0, w_ih, w_hh, bias, lengths=None,
-              return_sequences=True):
-    """Fused LSTM over a whole sequence; see :func:`gru_scan`.
-
-    Gate layout ``[input i | forget f | cell g | output o]`` with the
-    single combined bias of :class:`~repro.nn.layers.LSTMCell`.  Frozen
-    rows carry both ``h`` and ``c`` unchanged past their length, and the
-    backward passes both ``dh`` and ``dc`` straight through those steps.
-    Returns the hidden-state sequence (or final hidden state); the final
-    cell state stays internal, as in the layer API.
-    """
-    x, h0, c0 = as_tensor(x), as_tensor(h0), as_tensor(c0)
-    w_ih, w_hh, bias = as_tensor(w_ih), as_tensor(w_hh), as_tensor(bias)
-    if x.data.ndim != 3:
-        raise ValueError(f"lstm_scan expects (batch, steps, features) input, "
-                         f"got shape {x.shape}")
-    batch, steps, num_in = x.shape
-    hidden = h0.shape[-1]
-    h2 = 2 * hidden
-    if h0.shape != (batch, hidden) or c0.shape != (batch, hidden) \
-            or w_ih.shape != (num_in, 4 * hidden) \
-            or w_hh.shape != (hidden, 4 * hidden):
-        raise ValueError(
-            f"lstm_scan shapes do not line up: x {x.shape}, h0 {h0.shape}, "
-            f"c0 {c0.shape}, w_ih {w_ih.shape}, w_hh {w_hh.shape}")
-    lengths, t_run, min_len = _check_scan_lengths(lengths, batch, steps)
-
-    x_2d = _time_major(x.data, t_run).reshape(t_run * batch, num_in)
-    gx = _project(x_2d, w_ih.data, bias.data, (t_run, batch, 4 * hidden))
-    dt = gx.dtype
-
-    needs_grad = is_grad_enabled() and any(
-        p.requires_grad for p in (x, h0, c0, w_ih, w_hh, bias))
-    h_stack = np.empty((t_run + 1, batch, hidden), dtype=dt)
-    c_stack = np.empty_like(h_stack)
-    h_stack[0] = h0.data
-    c_stack[0] = c0.data
-    if needs_grad:
-        # One (B, 4H) activation slab per step: [i | f | g | o] post-gate.
-        gact = np.empty((t_run, batch, 4 * hidden), dtype=dt)
-        tcs = np.empty((t_run, batch, hidden), dtype=dt)
-    else:
-        scratch = np.empty((batch, 4 * hidden), dtype=dt)
-        scratch_tc = np.empty((batch, hidden), dtype=dt)
-
-    w_hh_d = w_hh.data
-    gh = np.empty((batch, 4 * hidden), dtype=dt)
-    tmp = np.empty((batch, hidden), dtype=dt)
-    for t in range(t_run):
-        h_prev, c_prev = h_stack[t], c_stack[t]
-        h_new, c_new = h_stack[t + 1], c_stack[t + 1]
-        np.matmul(h_prev, w_hh_d, out=gh)
-        _lstm_gates_into(gx[t], gh, c_prev,
-                         gact[t] if needs_grad else scratch, c_new,
-                         tcs[t] if needs_grad else scratch_tc, h_new, tmp)
-        frozen = _frozen_rows(lengths, min_len, t)
-        if frozen is not None:
-            h_new[frozen] = h_prev[frozen]
-            c_new[frozen] = c_prev[frozen]
-
-    out_data = _scan_output(h_stack, steps, return_sequences)
-
-    def backward(grad):
-        w_ih_d = w_ih.data
-        dh = _final_state_grad(grad, t_run, return_sequences)
-        dc = np.zeros((batch, hidden), dtype=dt)
-        dg = np.empty((t_run, batch, 4 * hidden), dtype=dt)
-        om = np.empty((batch, hidden), dtype=dt)
-        scr = np.empty_like(om)
-        for t in range(t_run - 1, -1, -1):
-            if return_sequences:
-                dh += grad[:, t]
-            dg_t = dg[t]
-            # A frozen row's h_t is not computed from c_t, so its dc
-            # passes the step unchanged.
-            frozen = _frozen_rows(lengths, min_len, t)
-            if frozen is not None:
-                dc_frozen = dc[frozen].copy()
-            _lstm_gates_backward_into(dh, dc, gact[t], tcs[t], c_stack[t],
-                                      dg_t, om, scr)
-            if frozen is not None:
-                dg_t[frozen] = 0.0
-            carry = dg_t @ w_hh_d.T
-            dc *= gact[t, :, hidden:h2]
-            if frozen is not None:
-                dc[frozen] = dc_frozen
-                carry[frozen] = dh[frozen]
-            dh = carry
-        dg_2d = dg.reshape(-1, 4 * hidden)
-        if x.requires_grad:
-            dx_tm = (dg_2d @ w_ih_d.T).reshape(t_run, batch, num_in)
-            x._accumulate(_batch_major(dx_tm, steps), owned=True)
-        if h0.requires_grad:
-            h0._accumulate(dh, owned=True)
-        if c0.requires_grad:
-            c0._accumulate(dc, owned=True)
-        if w_ih.requires_grad:
-            w_ih._accumulate(x_2d.T @ dg_2d, owned=True)
-        if w_hh.requires_grad:
-            h_prev_2d = h_stack[:t_run].reshape(-1, hidden)
-            w_hh._accumulate(h_prev_2d.T @ dg_2d, owned=True)
-        if bias.requires_grad:
-            bias._accumulate(dg_2d.sum(axis=0), owned=True)
-
-    return Tensor._make(out_data, (x, h0, c0, w_ih, w_hh, bias), backward)
-
-
 def _grud_scan_sample(rng):
     batch, steps, channels, hidden = 2, 3, 3, 2
     mask = (rng.random(size=(batch, steps, channels)) < 0.6).astype(
@@ -1984,9 +1647,12 @@ def _stagenet_scan_sample(rng):
 @differentiable(_stagenet_scan_sample)
 def stagenet_scan(x, h0, c0, w_ih, w_hh, bias, stage_weight, stage_bias,
                   lengths=None, return_sequences=True):
-    """Fused stage-aware LSTM over a whole sequence; see :func:`lstm_scan`.
+    """Fused stage-aware LSTM over a whole sequence; see :func:`gru_scan`.
 
-    The :class:`repro.baselines.StageNet` recurrence (Gao et al. 2020)
+    Gate layout ``[input i | forget f | cell g | output o]`` with the
+    single combined bias of :class:`~repro.nn.layers.LSTMCell`; frozen
+    rows carry both ``h`` and ``c`` unchanged past their length.  The
+    :class:`repro.baselines.StageNet` recurrence (Gao et al. 2020)
     as one graph node: an LSTM step followed by a scalar stage-
     progression gate ``s_t = σ(h_t W_sh + x_t W_sx + b_s)`` that
     re-calibrates the cell state, ``c_t = s_t ⊙ (f c_{t-1} + i g)``.
@@ -2247,20 +1913,21 @@ def _uniform_grid(channels, dtype):
     return grid
 
 
-def _interaction_grid(embedded, weight, bias, keyed, grid):
+def _interaction_grid(embedded, weight, keyed, grid):
     """Eqs. 4-5 into ``grid``, transposed: ``grid[..., j, i] = α_ij``.
 
     With the softmax over axis -2, its max and its sum (a GEMM against
     a ones row) run over whole contiguous rows rather than along a short
     inner axis.  ``keyed`` receives ``k_i = e_i ⊙ W_i``, so
-    that ``α'_ij = k_i · e_j + b_i``; the ``j ≠ i`` exclusion is a
-    ``-inf`` written over the diagonal of the logits slab, and the
-    softmax then runs in place on that one slab.
+    that ``α'_ij = k_i · e_j``; Eq. 4's bias ``b_i^α`` is constant over
+    the softmax axis ``j`` and cancels in Eq. 5, so it is not a
+    parameter.  The ``j ≠ i`` exclusion is a ``-inf`` written over the
+    diagonal of the logits slab, and the softmax then runs in place on
+    that one slab.
     """
     channels = grid.shape[-1]
     np.multiply(embedded, weight, out=keyed)
     np.matmul(embedded, keyed.swapaxes(-1, -2), out=grid)
-    grid += bias
     flat = grid.reshape(grid.shape[:-2] + (channels * channels,))
     flat[..., ::channels + 1] = -np.inf
     grid -= grid.max(axis=-2, keepdims=True)
@@ -2295,31 +1962,29 @@ def _feature_interaction_sample(rng):
     def arrays(batch, steps):
         return (rng.normal(size=(batch, steps, channels, size)),
                 rng.normal(size=(channels, size)) * 0.5,
-                rng.normal(size=channels) * 0.1,
                 rng.normal(size=(2 * size, width)))
 
-    def build(e, w, b, p):
-        return _sqsum(feature_interaction(e, w, b, p))
+    def build(e, w, p):
+        return _sqsum(feature_interaction(e, w, p))
 
     def build_uniform(e, p):
-        return _sqsum(feature_interaction(e, None, None, p))
+        return _sqsum(feature_interaction(e, None, p))
 
-    embedded, _, _, compress = arrays(2, 2)
+    embedded, _, compress = arrays(2, 2)
     return [OpSample(build, *arrays(2, 3)),
             OpSample(build, *arrays(1, 1)),
             OpSample(build_uniform, embedded, compress)]
 
 
 @differentiable(_feature_interaction_sample)
-def feature_interaction(embedded, attn_weight, attn_bias, compress):
+def feature_interaction(embedded, attn_weight, compress):
     """ELDA-Net's feature-level interaction learning (Eqs. 3-6), one node.
 
-    ``embedded`` is ``(..., C, e)``; ``attn_weight`` ``(C, e)`` and
-    ``attn_bias`` ``(C,)`` are the per-feature attention scorers, and
-    ``compress`` ``(2e, d)`` is Eq. 6's ``P``.  Returns the x̃ rows
-    ``(..., C * d)``.  Passing ``None`` for both attention parameters
-    pools the interactions with uniform weights instead (the attention
-    ablation).
+    ``embedded`` is ``(..., C, e)``; ``attn_weight`` ``(C, e)`` holds the
+    per-feature attention scorers, and ``compress`` ``(2e, d)`` is
+    Eq. 6's ``P``.  Returns the x̃ rows ``(..., C * d)``.  Passing
+    ``None`` for the attention weight pools the interactions with
+    uniform weights instead (the attention ablation).
 
     The forward keeps its slabs for the backward: the transposed α
     ``grid``, ``summed``, the two rectified halves of ``[e; c]`` and the
@@ -2333,19 +1998,17 @@ def feature_interaction(embedded, attn_weight, attn_bias, compress):
     embedded, compress = as_tensor(embedded), as_tensor(compress)
     attend = attn_weight is not None
     if attend:
-        attn_weight, attn_bias = as_tensor(attn_weight), as_tensor(attn_bias)
+        attn_weight = as_tensor(attn_weight)
     e = embedded.data
     *lead, channels, size = e.shape
     lead = tuple(lead)
     width = compress.shape[-1]
-    if channels < 2 or compress.shape != (2 * size, width) or (attend and (
-            attn_weight.shape != (channels, size)
-            or attn_bias.shape != (channels,))):
+    if channels < 2 or compress.shape != (2 * size, width) or (
+            attend and attn_weight.shape != (channels, size)):
         raise ValueError(
             f"feature_interaction shapes do not line up: embedded "
             f"{embedded.shape} (needs at least two features), attention "
-            f"{attn_weight.shape if attend else None} / "
-            f"{attn_bias.shape if attend else None}, compress "
+            f"{attn_weight.shape if attend else None}, compress "
             f"{compress.shape}")
     dt = e.dtype
     summed, relu_e, relu_ctx = (np.empty(e.shape, dtype=dt)
@@ -2353,7 +2016,7 @@ def feature_interaction(embedded, attn_weight, attn_bias, compress):
     if attend:
         # relu_e doubles as the keyed slab, which only the logits read.
         grid = _interaction_grid(
-            e, attn_weight.data, attn_bias.data, relu_e,
+            e, attn_weight.data, relu_e,
             np.empty(lead + (channels, channels), dtype=dt))
     else:
         grid = _uniform_grid(channels, dt)
@@ -2361,7 +2024,7 @@ def feature_interaction(embedded, attn_weight, attn_bias, compress):
     out4 = _interaction_enrich(e, grid, compress.data, summed, relu_e,
                                relu_ctx, partial, np.empty_like(partial))
     out_data = out4.reshape(lead + (channels * width,))
-    params = (embedded, attn_weight, attn_bias, compress) if attend \
+    params = (embedded, attn_weight, compress) if attend \
         else (embedded, compress)
 
     def backward(grad):
@@ -2396,11 +2059,7 @@ def feature_interaction(embedded, attn_weight, attn_bias, compress):
             row = np.matmul(row.reshape(-1, width), np.ones(width, dtype=dt))
             d_grid -= row.reshape(lead + (1, channels))
             d_grid *= grid
-            if attn_bias.requires_grad:
-                flat = d_grid.reshape(-1, channels)
-                attn_bias._accumulate(
-                    np.matmul(np.ones(len(flat), dtype=dt), flat), owned=True)
-            # α'_ij = k_i · e_j + b_i with k_i = e_i ⊙ W_i, recomputed
+            # α'_ij = k_i · e_j with k_i = e_i ⊙ W_i, recomputed
             # into the spent d_s slab.
             w = attn_weight.data
             np.matmul(d_grid, np.multiply(e, w, out=d_s), out=scratch)
@@ -2420,14 +2079,14 @@ def feature_interaction(embedded, attn_weight, attn_bias, compress):
     return Tensor._make(out_data, params, backward)
 
 
-def feature_attention(embedded, attn_weight=None, attn_bias=None):
+def feature_attention(embedded, attn_weight=None):
     """Inference-only α grid of :func:`feature_interaction`.
 
     Takes the op's arguments (tensors or arrays) and returns a plain
     ``(..., C, C)`` array, no graph: entry ``[.., i, j]`` is the
     attention of feature ``i`` on its interaction with feature ``j``
     (the Figures 9-10 signal), computed by the op's own forward helper.
-    ``None`` attention parameters give the uniform ablation grid.
+    A ``None`` attention weight gives the uniform ablation grid.
     """
     e = as_tensor(embedded).data
     *lead, channels, _ = e.shape
@@ -2436,7 +2095,6 @@ def feature_attention(embedded, attn_weight=None, attn_bias=None):
         return np.broadcast_to(_uniform_grid(channels, e.dtype),
                                shape).copy()
     grid = _interaction_grid(e, as_tensor(attn_weight).data,
-                             as_tensor(attn_bias).data,
                              np.empty(e.shape, dtype=e.dtype),
                              np.empty(shape, dtype=e.dtype))
     return np.ascontiguousarray(grid.swapaxes(-1, -2))
@@ -2480,19 +2138,6 @@ def per_feature_gru_scan_step(x_t, h, w_ih, w_hh, bias):
     gh = np.matmul(h, w_hh)
     return _gru_gates_into(gt, gh, h, gt, np.empty_like(h),
                            np.empty_like(h))
-
-
-def lstm_scan_step(x_t, h, c, w_ih, w_hh, bias):
-    """One inference-only LSTM step, bit-identical to a :func:`lstm_scan`
-    step; see :func:`gru_scan_step`.  Returns ``(h_new, c_new)``.
-    """
-    gh = np.matmul(h, w_hh)
-    gt = _rowstable_matmul(x_t, w_ih)
-    gt += bias
-    c_new = np.empty_like(c)
-    h_new = _lstm_gates_into(gt, gh, c, gt, c_new, np.empty_like(c),
-                             np.empty_like(h), np.empty_like(c))
-    return h_new, c_new
 
 
 def grud_scan_step(values_t, mask_t, deltas_t, h, input_decay,
@@ -2571,56 +2216,3 @@ def linear_rows(x_t, weight, bias=None):
     if bias is not None:
         out += bias
     return out
-
-
-# ----------------------------------------------------------------------
-# Misc
-# ----------------------------------------------------------------------
-
-@differentiable(lambda rng: [
-    # a freshly seeded generator inside the build keeps the mask identical
-    # across the repeated evaluations of finite differencing
-    OpSample(lambda a: sum(dropout_mask(a, 0.4, np.random.default_rng(3))),
-             rng.normal(size=(4, 5))),
-])
-def dropout_mask(a, rate, rng):
-    """Apply inverted dropout with drop probability ``rate``.
-
-    The binary mask is sampled from ``rng`` and treated as a constant.
-    """
-    a = as_tensor(a)
-    if rate <= 0.0:
-        return a
-    keep = 1.0 - rate
-    # astype + in-place divide keeps the mask (and the gradients through
-    # it) in the policy dtype; bool / python-float would give float64.
-    mask = (rng.random(a.shape) < keep).astype(a.data.dtype)
-    mask /= keep
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * mask, owned=True)
-
-    return Tensor._make(a.data * mask, (a,), backward)
-
-
-@differentiable(lambda rng: [
-    OpSample(lambda t: _sqsum(embedding_lookup(t, np.array([[0, 1], [2, 0]]))),
-             rng.normal(size=(3, 5))),
-    OpSample(lambda t: sum(embedding_lookup(t, np.array([1, 1, 1]))),
-             rng.normal(size=(2, 4))),
-])
-def embedding_lookup(table, indices):
-    """Gather rows of a 2-D embedding ``table`` by integer ``indices``."""
-    table = as_tensor(table)
-    indices = np.asarray(indices, dtype=np.int64)
-    out_data = table.data[indices]
-
-    def backward(grad):
-        if table.requires_grad:
-            full = np.zeros_like(table.data)
-            np.add.at(full, indices.reshape(-1),
-                      grad.reshape(-1, table.shape[-1]))
-            table._accumulate(full, owned=True)
-
-    return Tensor._make(out_data, (table,), backward)

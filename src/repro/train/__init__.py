@@ -10,11 +10,11 @@ default stack for the paper's protocol.  See docs/ARCHITECTURE.md.
 from .callbacks import (AnomalyGuard, BatchTimer, Callback, Checkpointer,
                         EarlyStopping, JSONLLogger, LRSchedulerCallback,
                         monitor_score)
-from .engine import Engine, TrainingHistory
+from .engine import Engine, IncompleteCheckpointError, TrainingHistory
 from .trainer import Trainer
 
 __all__ = [
-    "Trainer", "TrainingHistory", "Engine",
+    "Trainer", "TrainingHistory", "Engine", "IncompleteCheckpointError",
     "Callback", "EarlyStopping", "LRSchedulerCallback", "BatchTimer",
     "AnomalyGuard", "Checkpointer", "JSONLLogger", "monitor_score",
 ]

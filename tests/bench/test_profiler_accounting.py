@@ -64,16 +64,18 @@ class TestForwardCounts:
             assert _forward_counts(prof) == dict(expected), names
 
     def test_composite_op_counts_itself_and_children(self):
-        """``min`` is implemented as neg∘max∘neg: all four calls appear."""
+        """``var`` is implemented as mean∘mul∘sub∘mean: all five calls
+        appear."""
         with profile() as prof:
-            ops.min(Tensor(np.arange(6.0)))
-        assert _forward_counts(prof) == {"min": 1, "max": 1, "neg": 2}
+            ops.var(Tensor(np.arange(6.0)))
+        assert _forward_counts(prof) == {"var": 1, "mean": 2, "sub": 1,
+                                         "mul": 1}
 
     def test_composite_self_time_excludes_children(self):
         with profile() as prof:
-            ops.min(Tensor(np.random.default_rng(0).normal(size=(200, 200))),
+            ops.var(Tensor(np.random.default_rng(0).normal(size=(200, 200))),
                     axis=0)
-        stat = prof.op("min")
+        stat = prof.op("var")
         assert stat.forward_self_seconds <= stat.forward_seconds
 
     def test_ops_outside_context_are_not_recorded(self):
@@ -143,14 +145,15 @@ class TestBackwardAttribution:
         assert _backward_counts(prof) == {"sum": 1, "tanh": 1, "matmul": 1}
 
     def test_composite_backward_runs_under_primitive_tags(self):
-        """``min`` creates no node of its own: its backward work must be
-        attributed to the ``max``/``neg`` primitives, never to ``min``."""
+        """``var`` creates no node of its own: its backward work must be
+        attributed to its primitives, never to ``var``."""
         a = Tensor(np.arange(6.0) + 0.25, requires_grad=True)
         with profile() as prof:
-            ops.min(a).backward()
-        assert prof.backward_calls("min") == 0
-        assert prof.backward_calls("max") == 1
-        assert prof.backward_calls("neg") == 2
+            ops.var(a).backward()
+        assert prof.backward_calls("var") == 0
+        assert prof.backward_calls("mean") == 2
+        assert prof.backward_calls("mul") == 1
+        assert prof.backward_calls("sub") == 1
 
     def test_no_backward_events_without_backward_pass(self):
         a = Tensor(np.ones(4), requires_grad=True)

@@ -27,7 +27,6 @@ def embedded(rng):
 def naive_forward(module, embedded):
     """Direct implementation of paper Eqs. 3-6 with explicit loops."""
     w = module.attn_weight.data        # (C, E)
-    b = module.attn_bias.data          # (C,)
     p = module.compress.data           # (2E, D)
     out = np.zeros((B, T, C * D))
     alphas = np.zeros((B, T, C, C))
@@ -41,7 +40,7 @@ def naive_forward(module, embedded):
                     if j == i:
                         continue
                     r_ij = e[i] * e[j]                      # Eq. 3
-                    logits[j] = w[i] @ r_ij + b[i]          # Eq. 4
+                    logits[j] = w[i] @ r_ij                 # Eq. 4
                 stable = logits - logits[np.isfinite(logits)].max()
                 exps = np.where(np.isfinite(stable), np.exp(stable), 0.0)
                 alpha = exps / exps.sum()                   # Eq. 5

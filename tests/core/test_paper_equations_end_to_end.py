@@ -4,12 +4,20 @@ loop-based implementation of the paper's equations (Eqs. 2-12).
 The production model uses vectorized algebraic identities; this test
 recomputes one batch entirely with explicit loops and plain numpy and
 demands agreement to ~1e-9, pinning the implementation to the paper.
+
+Eq. 4's ``b_i^α`` and Eq. 9's ``b^β`` are not parameters of the model:
+each is constant along the axis its softmax (Eqs. 5 and 10) runs over,
+so it cancels.  The cancellation tests below pin that reason with the
+attention oracles of tests/nn/oracles.py.
 """
 
 import numpy as np
 
 from repro import nn
 from repro.core.elda_net import ELDANet
+from repro.nn.dtype import autocast
+from tests.nn.oracles import (feature_attention_reference,
+                              time_attention_reference)
 
 C, E, D, H = 5, 4, 2, 6
 B, T = 2, 5
@@ -28,11 +36,10 @@ def reference_forward(model, values, ever_observed):
     a, b = emb.lower, emb.upper
     va, vb, vm = (emb.table_lower.data, emb.table_upper.data,
                   emb.missing_table.data)
-    w_alpha, b_alpha = fim.attn_weight.data, fim.attn_bias.data
+    w_alpha = fim.attn_weight.data
     p = fim.compress.data
     cell = tim.gru.cell
     w_beta = tim.attn_weight.data.reshape(-1)
-    b_beta = float(tim.attn_bias.data[0])
     w_pred = head.weight.data.reshape(-1)
     b_pred = float(head.bias.data[0])
 
@@ -56,7 +63,7 @@ def reference_forward(model, values, ever_observed):
                 for j in range(C):
                     if j != i:
                         r_ij = e[t, i] * e[t, j]               # Eq. 3
-                        logits[j] = w_alpha[i] @ r_ij + b_alpha[i]  # Eq. 4
+                        logits[j] = w_alpha[i] @ r_ij          # Eq. 4
                 stable = logits - np.nanmax(logits[np.isfinite(logits)])
                 exps = np.where(np.isfinite(stable), np.exp(stable), 0.0)
                 alpha = exps / exps.sum()                      # Eq. 5
@@ -80,7 +87,7 @@ def reference_forward(model, values, ever_observed):
 
         # ---- Time-level Interaction Learning (Eqs. 8-11) ----
         s = states[:-1] * states[-1]                           # Eq. 8
-        logits = s @ w_beta + b_beta                           # Eq. 9
+        logits = s @ w_beta                                    # Eq. 9
         beta = np.exp(logits - logits.max())
         beta /= beta.sum()                                     # Eq. 10
         g = (beta[:, None] * s).sum(axis=0)                    # Eq. 11
@@ -101,3 +108,46 @@ def test_full_forward_matches_reference(rng):
         fast = model(values, ever_observed=ever).data
     slow = reference_forward(model, values, ever)
     assert np.allclose(fast, slow, atol=1e-9), (fast, slow)
+
+
+def _model_attention(rng):
+    model = ELDANet(C, np.random.default_rng(17), embedding_size=E,
+                    hidden_size=H, compression=D)
+    values = rng.normal(size=(B, T, C))
+    ever = np.ones((B, C), dtype=bool)
+    ever[1, 3] = False
+    with nn.no_grad():
+        _, attention = model(values, ever_observed=ever,
+                             return_attention=True)
+        embedded = model.embedding(nn.Tensor(values), ever_observed=ever)
+        sequence = model.feature_module(embedded)
+        states = model.time_module.gru(sequence)
+    return model, embedded, states, attention
+
+
+def test_feature_logit_bias_cancels_in_alpha(rng):
+    """Any per-i constant added to the Eq. 4 logits leaves α unchanged."""
+    with autocast("float64"):
+        model, embedded, _, attention = _model_attention(rng)
+    weight = model.feature_module.attn_weight
+    with autocast("float64"), nn.no_grad():
+        plain = feature_attention_reference(embedded, weight).data
+        assert np.abs(plain - attention["feature"].data).max() < 1e-12
+        for scale in (1e-3, 1.0, 50.0):
+            shift = rng.normal(size=C) * scale
+            shifted = feature_attention_reference(embedded, weight,
+                                                  shift).data
+            assert np.abs(shifted - plain).max() < 1e-12, scale
+
+
+def test_time_logit_bias_cancels_in_beta(rng):
+    """A scalar added to the Eq. 9 logits leaves β unchanged."""
+    with autocast("float64"):
+        model, _, states, attention = _model_attention(rng)
+    weight = model.time_module.attn_weight
+    with autocast("float64"), nn.no_grad():
+        plain = time_attention_reference(states, weight).data
+        assert np.abs(plain - attention["time"].data).max() < 1e-12
+        for shift in (-30.0, -0.7, 1e-3, 4.0):
+            shifted = time_attention_reference(states, weight, shift).data
+            assert np.abs(shifted - plain).max() < 1e-12, shift

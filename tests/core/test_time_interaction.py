@@ -22,14 +22,13 @@ def sequence(rng):
 def naive_fuse(module, states):
     """Direct implementation of Eqs. 8-11 given the GRU states."""
     w = module.attn_weight.data.reshape(-1)
-    b = float(module.attn_bias.data[0])
     fused = np.zeros((states.shape[0], 2 * H))
     betas = np.zeros((states.shape[0], states.shape[1] - 1))
     for n in range(states.shape[0]):
         h = states[n]
         h_T = h[-1]
         s = np.array([h[i] * h_T for i in range(len(h) - 1)])   # Eq. 8
-        logits = s @ w + b                                      # Eq. 9
+        logits = s @ w                                          # Eq. 9
         exps = np.exp(logits - logits.max())
         beta = exps / exps.sum()                                # Eq. 10
         betas[n] = beta

@@ -29,6 +29,13 @@ def _keep_masks(lengths, steps, batch):
     return [lengths > t for t in range(steps)]
 
 
+def _stack_steps(states):
+    """Per-step ``(batch, hidden)`` states as one ``(batch, steps,
+    hidden)`` trajectory."""
+    return ops.concat([h.reshape(h.shape[0], 1, h.shape[1])
+                       for h in states], axis=1)
+
+
 def gru_reference(layer, x, h0=None, lengths=None):
     """Step-unrolled oracle for :class:`repro.nn.layers.GRU`
     (:func:`repro.nn.ops.gru_scan`): ``layer.cell`` applied per step.
@@ -42,32 +49,7 @@ def gru_reference(layer, x, h0=None, lengths=None):
         h = h_new if keep is None else ops.where(keep[t], h_new, h)
         outputs.append(h)
     if layer.return_sequences:
-        return ops.stack(outputs, axis=1)
-    return h
-
-
-def lstm_reference(layer, x, state=None, lengths=None):
-    """Step-unrolled oracle for :class:`repro.nn.layers.LSTM`
-    (:func:`repro.nn.ops.lstm_scan`): ``layer.cell`` applied per step.
-    """
-    batch, steps, _ = x.shape
-    if state is None:
-        h = Tensor(np.zeros((batch, layer.hidden_size)))
-        c = Tensor(np.zeros((batch, layer.hidden_size)))
-    else:
-        h, c = state
-    keep = _keep_masks(lengths, steps, batch)
-    outputs = []
-    for t in range(steps):
-        h_new, c_new = layer.cell(x[:, t], (h, c))
-        if keep is None:
-            h, c = h_new, c_new
-        else:
-            h = ops.where(keep[t], h_new, h)
-            c = ops.where(keep[t], c_new, c)
-        outputs.append(h)
-    if layer.return_sequences:
-        return ops.stack(outputs, axis=1)
+        return _stack_steps(outputs)
     return h
 
 
@@ -110,7 +92,7 @@ def stagenet_reference(model, batch):
         stage = model.stage_gate(ops.concat([h, x_t], axis=-1))
         c = stage * c                       # re-calibrate cell memory
         states.append(h)
-    trajectory = ops.stack(states, axis=1)                  # (B,T,H)
+    trajectory = _stack_steps(states)                       # (B,T,H)
     return model._head(trajectory, h)
 
 
@@ -141,6 +123,19 @@ def per_feature_gru_reference(values, w_ih, w_hh, bias):
     return h.transpose((1, 0, 2))
 
 
+def softmax_cross_entropy_reference(logits, targets):
+    """Eager oracle for :func:`repro.nn.ops.softmax_cross_entropy`: the
+    log-softmax, gather and negate it fuses.  The shift by the row max
+    is a constant (log-softmax is shift-invariant), and the forward runs
+    the fused op's ufuncs in its order, so values agree bit for bit.
+    """
+    shifted = logits - logits.data.max(axis=-1, keepdims=True)
+    log_z = ops.log(ops.sum(ops.exp(shifted), axis=-1, keepdims=True))
+    log_probs = shifted - log_z
+    rows = np.arange(log_probs.shape[0])
+    return -ops.getitem(log_probs, (rows, np.asarray(targets)))
+
+
 def bi_embedding_reference(x, table_lower, table_upper, lower, upper):
     """Eager oracle for :func:`repro.nn.ops.bi_embedding`: paper Eq. 2
     as ``BiDirectionalEmbedding`` composed it from five ops.
@@ -152,23 +147,46 @@ def bi_embedding_reference(x, table_lower, table_upper, lower, upper):
     return (toward_upper + toward_lower) / span
 
 
-def feature_interaction_reference(embedded, attn_weight, attn_bias,
-                                  compress):
+def feature_attention_reference(embedded, attn_weight, logit_shift=None):
+    """Eqs. 4-5's α ``(..., C, C)`` as ``FeatureInteractionModule``
+    composed it: ``α'_ij = (e_i ⊙ W_i) · e_j``, a ``-1e9`` diagonal mask
+    for ``j != i``, and a softmax over ``j``.  ``logit_shift`` ``(C,)``
+    adds a per-``i`` constant to the logits (Eq. 4's ``b_i^α``); the
+    softmax cancels it.
+    """
+    num_features = embedded.shape[-2]
+    diag_mask = np.full((num_features, num_features), 0.0)
+    np.fill_diagonal(diag_mask, -1e9)
+    keyed = embedded * attn_weight                     # e_i ⊙ W_i
+    logits = ops.matmul(keyed, embedded.swapaxes(-1, -2))
+    if logit_shift is not None:
+        logits = logits + Tensor(np.reshape(logit_shift, (-1, 1)))
+    logits = logits + Tensor(diag_mask)
+    return ops.softmax(logits, axis=-1)                # (B, T, C, C)
+
+
+def time_attention_reference(states, attn_weight, logit_shift=0.0):
+    """Eqs. 8-10's β ``(B, T-1)`` over GRU ``states`` ``(B, T, H)``:
+    ``β'_i = w^T (h_i ⊙ h_T)``, softmaxed over ``i``.  ``logit_shift``
+    adds a scalar to every logit (Eq. 9's ``b^β``); the softmax cancels
+    it.
+    """
+    last = states[:, -1:, :]
+    scores = ops.matmul(states[:, :-1, :] * last, attn_weight) + logit_shift
+    beta = ops.softmax(scores, axis=1)
+    return beta.reshape(beta.shape[0], beta.shape[1])
+
+
+def feature_interaction_reference(embedded, attn_weight, compress):
     """Eager oracle for :func:`repro.nn.ops.feature_interaction`: Eqs. 3-6
-    as ``FeatureInteractionModule`` composed them from small ops, with a
-    ``-1e9`` diagonal mask for Eq. 5's ``j != i`` and a concat for Eq. 6.
-    ``None`` attention parameters pool uniformly (the ablation).
+    as ``FeatureInteractionModule`` composed them from small ops (α from
+    :func:`feature_attention_reference`) and a concat for Eq. 6.  A
+    ``None`` attention weight pools uniformly (the ablation).
     """
     num_features = embedded.shape[-2]
     compression = compress.shape[-1]
     if attn_weight is not None:
-        diag_mask = np.full((num_features, num_features), 0.0)
-        np.fill_diagonal(diag_mask, -1e9)
-        keyed = embedded * attn_weight                 # e_i ⊙ W_i
-        logits = ops.matmul(keyed, embedded.swapaxes(-1, -2))
-        logits = logits + attn_bias.reshape(-1, 1)
-        logits = logits + Tensor(diag_mask)
-        alpha = ops.softmax(logits, axis=-1)           # (B, T, C, C)
+        alpha = feature_attention_reference(embedded, attn_weight)
     else:
         uniform = np.full((num_features, num_features),
                           1.0 / (num_features - 1))

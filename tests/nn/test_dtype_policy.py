@@ -103,28 +103,6 @@ class TestDtypePreservation:
             lambda a: ops.mean(a, axis=0),
             np.random.default_rng(1).normal(size=(4, 3)))
 
-    def test_maximum_with_ties(self):
-        a = np.array([[1.0, 2.0, 3.0]])
-        b = np.array([[1.0, 5.0, 0.0]])  # tie in column 0
-        self._assert_float32_through(lambda x, y: ops.maximum(x, y), a, b)
-
-    def test_leaky_relu(self):
-        self._assert_float32_through(
-            lambda a: ops.leaky_relu(a, negative_slope=0.01),
-            np.random.default_rng(2).normal(size=(5,)))
-
-    def test_max_over_axis(self):
-        self._assert_float32_through(
-            lambda a: ops.max(a, axis=-1),
-            np.random.default_rng(3).normal(size=(2, 6)))
-
-    def test_dropout_mask(self):
-        t = Tensor(np.ones((8, 8)), requires_grad=True)
-        out = ops.dropout_mask(t, 0.5, np.random.default_rng(4))
-        assert out.dtype == np.float32
-        ops.sum(out).backward()
-        assert t.grad.dtype == np.float32
-
     def test_softmax_cross_entropy(self):
         self._assert_float32_through(
             lambda a: ops.softmax_cross_entropy(a, np.array([0, 2])),

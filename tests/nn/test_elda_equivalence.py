@@ -67,8 +67,6 @@ def _feature_path(seed, star=False, attention=True):
         embedding = embedding_cls(C, E, rng, star=star)
         features = FeatureInteractionModule(C, E, D, rng,
                                             use_attention=attention)
-        # A nonzero bias exercises Eq. 4's b_i (it starts at zero).
-        features.attn_bias.data[...] = rng.normal(size=C)
         stacks.append((embedding, features))
     (emb, fim), (ref_emb, ref_fim) = stacks
 
@@ -77,9 +75,8 @@ def _feature_path(seed, star=False, attention=True):
 
     def reference(x, ever):
         embedded = ref_emb(x, ever_observed=ever)
-        weight, bias = ((ref_fim.attn_weight, ref_fim.attn_bias)
-                        if attention else (None, None))
-        return feature_interaction_reference(embedded, weight, bias,
+        weight = ref_fim.attn_weight if attention else None
+        return feature_interaction_reference(embedded, weight,
                                              ref_fim.compress)
 
     return (fused, (emb, fim)), (reference, (ref_emb, ref_fim))
@@ -126,8 +123,7 @@ class TestFeaturePathEquivalence:
         x = rng.normal(size=(batch, steps, C))
         grads = _assert_paths_agree(7, x, None, TOL)
         expected = {"x", "embedding.table_lower", "embedding.table_upper",
-                    "features.attn_weight", "features.attn_bias",
-                    "features.compress"}
+                    "features.attn_weight", "features.compress"}
         assert expected <= grads.keys()
 
     def test_never_observed_routing(self, TOL):
@@ -182,7 +178,7 @@ class TestOpsAgainstOracles:
     def test_feature_interaction(self, shape, TOL):
         rng = np.random.default_rng(41)
         arrays = [rng.normal(size=shape + (C, E)),
-                  rng.normal(size=(C, E)) * 0.5, rng.normal(size=C),
+                  rng.normal(size=(C, E)) * 0.5,
                   rng.normal(size=(2 * E, D))]
         out, grads = _op_grads(ops.feature_interaction, arrays)
         ref, ref_grads = _op_grads(feature_interaction_reference, arrays)
@@ -193,10 +189,10 @@ class TestOpsAgainstOracles:
     def test_rejects_mismatched_shapes(self):
         e = np.zeros((1, 2, C, E))
         with pytest.raises(ValueError, match="feature_interaction shapes"):
-            ops.feature_interaction(e, np.zeros((C, E + 1)), np.zeros(C),
+            ops.feature_interaction(e, np.zeros((C, E + 1)),
                                     np.zeros((2 * E, D)))
         with pytest.raises(ValueError, match="feature_interaction shapes"):
-            ops.feature_interaction(np.zeros((1, 2, 1, E)), None, None,
+            ops.feature_interaction(np.zeros((1, 2, 1, E)), None,
                                     np.zeros((2 * E, D)))
         with pytest.raises(ValueError, match="bi_embedding shapes"):
             ops.bi_embedding(np.zeros((1, 2, C)), np.zeros((C, E)),

@@ -5,11 +5,10 @@ import pytest
 
 from repro import nn
 from repro.nn import ops
-from repro.nn.layers import (GRU, LSTM, AdditiveAttention, BiGRU, Conv1D,
-                             Dense, Dropout, Embedding, GeneralAttention,
-                             GRUCell, LayerNorm, LocationAttention, MLP,
-                             LSTMCell, MultiHeadSelfAttention,
-                             positional_encoding)
+from repro.nn.layers import (GRU, AdditiveAttention, BiGRU, Conv1D, Dense,
+                             GeneralAttention, GRUCell, LayerNorm,
+                             LocationAttention, MLP, LSTMCell,
+                             MultiHeadSelfAttention, positional_encoding)
 
 
 @pytest.fixture
@@ -89,10 +88,6 @@ class TestRecurrent:
         expected = z * h + (1 - z) * n
         assert np.allclose(out, expected)
 
-    def test_lstm_shapes(self, local_rng):
-        lstm = LSTM(5, 8, local_rng)
-        assert lstm(nn.Tensor(np.zeros((2, 6, 5)))).shape == (2, 6, 8)
-
     def test_lstm_forget_bias_initialized_to_one(self, local_rng):
         cell = LSTMCell(4, 6, local_rng)
         assert np.all(cell.bias.data[6:12] == 1.0)
@@ -150,7 +145,7 @@ class TestAttention:
         assert np.allclose(weights.data.sum(axis=-1), 1.0)
 
 
-class TestNormAndDropout:
+class TestLayerNorm:
     def test_layernorm_standardizes(self, local_rng):
         norm = LayerNorm(16)
         x = local_rng.normal(loc=5.0, scale=3.0, size=(4, 16))
@@ -161,28 +156,6 @@ class TestNormAndDropout:
     def test_layernorm_scale_shift_are_learned(self):
         norm = LayerNorm(4)
         assert len(norm.parameters()) == 2
-
-    def test_dropout_off_in_eval(self, local_rng):
-        drop = Dropout(0.9, local_rng)
-        drop.eval()
-        x = np.ones((100,))
-        assert np.array_equal(drop(nn.Tensor(x)).data, x)
-
-    def test_dropout_preserves_expectation(self, local_rng):
-        drop = Dropout(0.5, np.random.default_rng(0))
-        x = np.ones((100000,))
-        out = drop(nn.Tensor(x)).data
-        assert abs(out.mean() - 1.0) < 0.02
-
-    def test_dropout_rate_validation(self, local_rng):
-        with pytest.raises(ValueError):
-            Dropout(1.0, local_rng)
-
-    def test_dropout_zero_rate_identity(self, local_rng):
-        drop = Dropout(0.0, local_rng)
-        x = nn.Tensor(np.ones(5))
-        assert drop(x) is x
-
 
 class TestConv1D:
     def test_same_padding_shape(self, local_rng):
@@ -208,17 +181,7 @@ class TestConv1D:
         assert np.allclose(out, expected)
 
 
-class TestEmbeddings:
-    def test_lookup_shape(self, local_rng):
-        emb = Embedding(10, 4, local_rng)
-        out = emb(np.array([[1, 2], [3, 4]]))
-        assert out.shape == (2, 2, 4)
-
-    def test_lookup_returns_table_rows(self, local_rng):
-        emb = Embedding(5, 3, local_rng)
-        out = emb(np.array([2]))
-        assert np.allclose(out.data[0], emb.table.data[2])
-
+class TestPositionalEncoding:
     def test_positional_encoding_shape_and_range(self):
         pe = positional_encoding(48, 16).data
         assert pe.shape == (48, 16)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn.layers import Dense, Dropout
-from repro.nn.module import Module, ModuleList, Parameter
+from repro.nn.layers import Dense
+from repro.nn.module import (RETIRED_PARAMETERS, Module, ModuleList,
+                             Parameter, RetiredParameterWarning)
 
 
 class TwoLayer(Module):
@@ -77,6 +78,40 @@ class TestStateDict:
         with pytest.raises(KeyError):
             model.load_state_dict(state)
 
+    def test_retired_keys_are_dropped_with_one_warning(self, tmp_path):
+        """Weights written before the softmax-cancelled attention biases
+        were removed still load: those keys are dropped, whatever their
+        values, with one named warning."""
+        from repro.core import ELDANet
+        model = ELDANet(5, np.random.default_rng(0), embedding_size=3,
+                        hidden_size=4, compression=2)
+        state = model.state_dict()
+        old = dict(state, **{"feature_module.attn_bias": np.full(5, 0.3),
+                             "time_module.attn_bias": np.array([-1.2])})
+        np.savez(tmp_path / "weights.npz", **old)
+        fresh = ELDANet(5, np.random.default_rng(1), embedding_size=3,
+                        hidden_size=4, compression=2)
+        with pytest.warns(RetiredParameterWarning) as record:
+            nn.load_weights(fresh, tmp_path / "weights.npz")
+        assert len(record) == 1
+        assert "feature_module.attn_bias" in str(record[0].message)
+        for name, value in fresh.state_dict().items():
+            assert np.array_equal(value, state[name]), name
+
+    def test_retired_key_beside_an_unknown_key_still_raises(self, model):
+        state = model.state_dict()
+        state["attention.bias"] = np.zeros(1)
+        state["ghost"] = np.zeros(1)
+        with pytest.raises(KeyError, match="ghost"):
+            model.load_state_dict(state)
+
+    def test_retired_names_are_not_parameters_of_any_model(self):
+        from repro.baselines import ALL_MODEL_NAMES, build_model
+        from repro.data import NUM_FEATURES
+        for name in ALL_MODEL_NAMES:
+            params = dict(build_model(name, NUM_FEATURES).named_parameters())
+            assert not RETIRED_PARAMETERS & set(params), name
+
     def test_shape_mismatch_raises(self, model):
         state = model.state_dict()
         state["scale"] = np.zeros(3)
@@ -87,11 +122,11 @@ class TestStateDict:
 class TestModes:
     def test_train_eval_recursive(self, rng):
         m = Module()
-        m.drop = Dropout(0.5, rng)
+        m.child = Dense(2, 2, rng)
         m.eval()
-        assert not m.drop.training
+        assert not m.child.training
         m.train()
-        assert m.drop.training
+        assert m.child.training
 
     def test_zero_grad_clears_all(self, model, rng):
         x = nn.Tensor(rng.normal(size=(2, 4)))

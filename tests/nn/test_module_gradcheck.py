@@ -17,7 +17,7 @@ from repro.core import ELDANet
 from repro.data import NUM_FEATURES
 from repro.nn import ops
 from repro.nn.gradcheck import GradcheckFailure, check_module
-from repro.nn.layers import (GRU, LSTM, AdditiveAttention, BiGRU, Dense,
+from repro.nn.layers import (GRU, AdditiveAttention, BiGRU, Dense,
                              GeneralAttention, GRUCell, LayerNorm, LSTMCell,
                              MultiHeadSelfAttention)
 from repro.nn.losses import bce_with_logits
@@ -60,12 +60,6 @@ class TestLayerGradcheck:
         state = (nn.Tensor(rng.normal(size=(2, 4))),
                  nn.Tensor(rng.normal(size=(2, 4))))
         check_module(cell, lambda m: _sqsum(m(x, state)[0]))
-
-    def test_lstm_sequence(self):
-        rng = np.random.default_rng(4)
-        lstm = LSTM(3, 4, rng, return_sequences=False)
-        x = nn.Tensor(rng.normal(size=(2, 5, 3)))
-        check_module(lstm, lambda m: _sqsum(m(x)))
 
     def test_bigru(self):
         rng = np.random.default_rng(5)

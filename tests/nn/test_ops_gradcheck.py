@@ -39,17 +39,6 @@ class TestElementwiseGrads:
     def test_power(self):
         assert_gradcheck(lambda a: (a ** 3).sum(), _rand(4))
 
-    def test_abs(self):
-        assert_gradcheck(lambda a: ops.abs(a).sum(), _rand(6) + 2.0)
-
-    def test_maximum(self):
-        assert_gradcheck(lambda a, b: ops.maximum(a, b).sum(),
-                         _rand(5), _rand(5))
-
-    def test_minimum(self):
-        assert_gradcheck(lambda a, b: ops.minimum(a, b).sum(),
-                         _rand(5), _rand(5))
-
     def test_clip(self):
         assert_gradcheck(lambda a: ops.clip(a, -0.5, 0.5).sum(),
                          _rand(8) * 2.0)
@@ -79,10 +68,6 @@ class TestTranscendentalGrads:
     def test_relu(self):
         assert_gradcheck(lambda a: ops.relu(a).sum(), _rand(7) + 0.3)
 
-    def test_leaky_relu(self):
-        assert_gradcheck(lambda a: ops.leaky_relu(a, 0.1).sum(),
-                         _rand(7) + 0.3)
-
 
 class TestReductionGrads:
     def test_sum_all(self):
@@ -104,15 +89,6 @@ class TestReductionGrads:
     def test_mean_axis_tuple(self):
         assert_gradcheck(lambda a: (ops.mean(a, axis=(0, 2)) ** 2).sum(),
                          _rand(2, 3, 4))
-
-    def test_max(self):
-        # Keep values distinct so the subgradient is unambiguous.
-        base = np.linspace(0.0, 1.0, 12).reshape(3, 4) + _rand(3, 4) * 0.01
-        assert_gradcheck(lambda a: ops.max(a, axis=1).sum(), base)
-
-    def test_min(self):
-        base = np.linspace(0.0, 1.0, 12).reshape(3, 4) + _rand(3, 4) * 0.01
-        assert_gradcheck(lambda a: ops.min(a, axis=0).sum(), base)
 
     def test_var(self):
         assert_gradcheck(lambda a: ops.var(a, axis=-1).sum(), _rand(3, 5))
@@ -145,10 +121,6 @@ class TestMatmulGrads:
 
     def test_batched_matrix_vector(self):
         assert_gradcheck(lambda a, b: (a @ b).sum(), _rand(2, 3, 4), _rand(4))
-
-    def test_outer_last(self):
-        assert_gradcheck(lambda a, b: (ops.outer_last(a, b) ** 2).sum(),
-                         _rand(2, 3), _rand(2, 3))
 
     def test_4d_batched(self):
         assert_gradcheck(lambda a, b: (a @ b).sum(),
@@ -185,10 +157,6 @@ class TestShapeGrads:
         assert_gradcheck(lambda a, b: (ops.concat([a, b], axis=1) ** 2).sum(),
                          _rand(2, 3), _rand(2, 2))
 
-    def test_stack(self):
-        assert_gradcheck(lambda a, b: (ops.stack([a, b], axis=1) ** 2).sum(),
-                         _rand(2, 3), _rand(2, 3))
-
     def test_split(self):
         assert_gradcheck(
             lambda a: sum((part ** 2).sum() * (i + 1)
@@ -208,15 +176,6 @@ class TestSoftmaxGrads:
     def test_softmax_axis0(self):
         assert_gradcheck(lambda a: (ops.softmax(a, axis=0) ** 2).sum(),
                          _rand(3, 4))
-
-    def test_log_softmax(self):
-        assert_gradcheck(lambda a: (ops.log_softmax(a, axis=-1)
-                                    * np.arange(4.0)).sum(), _rand(2, 4))
-
-    def test_embedding_lookup(self):
-        idx = np.array([[0, 1], [2, 0]])
-        assert_gradcheck(
-            lambda t: (ops.embedding_lookup(t, idx) ** 2).sum(), _rand(3, 5))
 
 
 @settings(max_examples=25, deadline=None)
@@ -242,29 +201,6 @@ def test_softmax_rows_sum_to_one(cols, rows):
 
 class TestBackwardRegressions:
     """Regression tests for backward bugs surfaced by the registry sweep."""
-
-    def test_maximum_splits_gradient_at_exact_ties(self):
-        # Winner-take-all at a tie disagrees with central differences
-        # (the subgradient must be split 0.5/0.5); this was a real bug.
-        from repro import nn
-        a = nn.Tensor(np.array([1.0, 2.0, -3.0]), requires_grad=True)
-        b = nn.Tensor(np.array([1.0, 0.5, -3.0]), requires_grad=True)
-        ops.sum(ops.maximum(a, b)).backward()
-        np.testing.assert_allclose(a.grad, [0.5, 1.0, 0.5])
-        np.testing.assert_allclose(b.grad, [0.5, 0.0, 0.5])
-
-    def test_minimum_splits_gradient_at_exact_ties(self):
-        from repro import nn
-        a = nn.Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        b = nn.Tensor(np.array([1.0, 0.5]), requires_grad=True)
-        ops.sum(ops.minimum(a, b)).backward()
-        np.testing.assert_allclose(a.grad, [0.5, 0.0])
-        np.testing.assert_allclose(b.grad, [0.5, 1.0])
-
-    def test_tied_maximum_matches_finite_differences(self):
-        a = np.array([0.7, -1.2, 0.0])
-        assert_gradcheck(lambda x, y: ops.sum(ops.maximum(x, y)),
-                         a, a.copy())
 
     def test_power_zero_exponent_has_zero_grad_at_zero_base(self):
         # d/dx x**0 = 0 everywhere; the generic 0 * x**-1 formula emitted

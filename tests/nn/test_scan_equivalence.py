@@ -1,7 +1,7 @@
 """Scan-vs-step equivalence for the sequence-fused recurrent kernels.
 
 Every recurrence in the library — :func:`repro.nn.ops.gru_scan`,
-:func:`~repro.nn.ops.lstm_scan`, :func:`~repro.nn.ops.grud_scan`,
+:func:`~repro.nn.ops.grud_scan`,
 :func:`~repro.nn.ops.stagenet_scan` and
 :func:`~repro.nn.ops.per_feature_gru_scan` — replays an entire sequence
 as one graph node and has no step path in ``src/``.  Each is held to its
@@ -21,11 +21,10 @@ from repro.baselines import GRUD, PerFeatureGRU, StageNet
 from repro.nn import Tensor, ops
 from repro.nn.dtype import autocast
 from repro.nn.gradcheck import gradcheck
-from repro.nn.layers import GRU, LSTM
+from repro.nn.layers import GRU
 from repro.nn.tensor import no_grad
 from tests.nn.oracles import (grud_reference, gru_reference,
-                              lstm_reference, per_feature_gru_reference,
-                              stagenet_reference)
+                              per_feature_gru_reference, stagenet_reference)
 
 _TOLS = {np.dtype(np.float64): 1e-10, np.dtype(np.float32): 1e-4}
 
@@ -71,8 +70,7 @@ def _assert_paths_agree(layer, oracle, x, tol, lengths=None):
         assert _max_diff(grads_scan[name], grads_step[name]) < tol, name
 
 
-_LENGTH_AWARE_SCANS = ["gru_scan", "lstm_scan", "grud_scan",
-                       "stagenet_scan"]
+_LENGTH_AWARE_SCANS = ["gru_scan", "grud_scan", "stagenet_scan"]
 
 
 def _final_state(scan, x, h0, lengths):
@@ -87,9 +85,6 @@ def _final_state(scan, x, h0, lengths):
     if scan == "gru_scan":
         return ops.gru_scan(x, h0, w(3, 12), w(4, 12), w(12), w(12),
                             lengths=lengths, return_sequences=False)
-    if scan == "lstm_scan":
-        return ops.lstm_scan(x, h0, h0, w(3, 16), w(4, 16), w(16),
-                             lengths=lengths, return_sequences=False)
     if scan == "grud_scan":
         return ops.grud_scan(x, np.ones_like(x), np.ones_like(x), h0,
                              w(3), w(3, 4), w(4), w(6, 12), w(4, 12),
@@ -169,48 +164,6 @@ class TestGRUScanEquivalence:
         out = _final_state(scan, x, h0, lengths=np.array([0, 4])).data
         np.testing.assert_array_equal(out[0], Tensor(h0).data[0])
         assert np.any(out[1] != out[0])
-
-
-class TestLSTMScanEquivalence:
-    @pytest.mark.parametrize("batch,steps", [(1, 6), (3, 6), (4, 1)])
-    def test_matches_step_path(self, batch, steps, TOL):
-        rng = np.random.default_rng(batch * 10 + steps + 50)
-        layer = LSTM(5, 4, np.random.default_rng(1))
-        x = rng.normal(size=(batch, steps, 5))
-        _assert_paths_agree(layer, lstm_reference, x, TOL)
-
-    @pytest.mark.parametrize("return_sequences", [True, False])
-    def test_ragged_lengths(self, return_sequences, TOL):
-        rng = np.random.default_rng(17)
-        layer = LSTM(3, 4, np.random.default_rng(2),
-                     return_sequences=return_sequences)
-        x = rng.normal(size=(4, 6, 3))
-        _assert_paths_agree(layer, lstm_reference, x, TOL,
-                            lengths=np.array([3, 6, 1, 5]))
-
-    def test_non_contiguous_input(self, TOL):
-        rng = np.random.default_rng(13)
-        layer = LSTM(5, 4, np.random.default_rng(3))
-        x = rng.normal(size=(2, 12, 5))[:, ::2]
-        assert not x.flags["C_CONTIGUOUS"]
-        _assert_paths_agree(layer, lstm_reference, x, TOL)
-
-    @pytest.mark.parametrize("batch", [1, 3])
-    def test_streamed_steps_reproduce_every_prefix(self, batch,
-                                                   dtype_policy):
-        """``LSTM.stream_step`` fed one timestep at a time reaches the
-        layer's final state bit for bit after every prefix."""
-        rng = np.random.default_rng(160 + batch)
-        layer = LSTM(3, 4, np.random.default_rng(16),
-                     return_sequences=False)
-        x = rng.normal(size=(batch, 6, 3)).astype(dtype_policy)
-        state = layer.initial_state(batch)
-        for t in range(1, x.shape[1] + 1):
-            state = layer.stream_step(x[:, t - 1], state)
-            assert state[0].dtype == dtype_policy
-            with no_grad():
-                full = layer(Tensor(x[:, :t])).data
-            np.testing.assert_array_equal(state[0], full)
 
 
 class _Batch:
@@ -386,12 +339,6 @@ class TestScanOpValidation:
                          np.zeros((5, 9)), np.zeros((4, 12)),
                          np.zeros(12), np.zeros(12))
 
-    def test_lstm_scan_rejects_mismatched_state(self):
-        with pytest.raises(ValueError, match="lstm_scan shapes"):
-            ops.lstm_scan(np.zeros((2, 3, 5)), np.zeros((2, 4)),
-                          np.zeros((3, 4)), np.zeros((5, 16)),
-                          np.zeros((4, 16)), np.zeros(16))
-
     @pytest.mark.parametrize("bad", [np.array([1, 2, 3]),   # wrong shape
                                      np.array([1, 7]),      # > steps
                                      np.array([-1, 2])])    # negative
@@ -480,8 +427,7 @@ class TestScanRegistryCoverage:
     entered from the float32 lane)."""
 
     @pytest.mark.parametrize("name", ["gru_scan", "per_feature_gru_scan",
-                                      "lstm_scan", "grud_scan",
-                                      "stagenet_scan"])
+                                      "grud_scan", "stagenet_scan"])
     def test_registered_with_sample_factory(self, name):
         registry = ops.registered_ops()
         assert name in registry
