@@ -298,7 +298,9 @@ class Predictor:
             ``checkpoints/{best,last}/weights.npz``.
         checkpoint:
             ``"best"`` (best-on-validation; falls back to ``"last"``
-            when no best snapshot exists) or ``"last"``.
+            when no best snapshot exists) or ``"last"``.  A checkpoint
+            save killed between its two renames is completed first, so
+            the previous snapshot is served, not the fallback.
         config:
             An explicit :class:`~repro.serve.ServeConfig`, overriding
             the run directory's persisted ``serve`` block entirely —
@@ -322,6 +324,7 @@ class Predictor:
         """
         from ..baselines import ModelSpec
         from ..nn.serialization import load_weights
+        from ..train.engine import finish_checkpoint_swap
 
         run_dir = Path(run_dir)
         config_path = run_dir / "config.json"
@@ -340,6 +343,8 @@ class Predictor:
 
         if checkpoint not in ("best", "last"):
             raise ValueError("checkpoint must be 'best' or 'last'")
+        for name in ("best", "last"):
+            finish_checkpoint_swap(run_dir / "checkpoints" / name)
         weights = run_dir / "checkpoints" / checkpoint / "weights.npz"
         if checkpoint == "best" and not weights.exists():
             weights = run_dir / "checkpoints" / "last" / "weights.npz"
