@@ -56,7 +56,6 @@ from .backend import xp as np
 
 from . import _capture_hooks, ops
 from .dtype import get_default_dtype
-from .ops import _stable_sigmoid
 from .tensor import Tensor, no_grad
 
 __all__ = [
@@ -246,25 +245,6 @@ def _unary_kernel(ufunc):
     return build
 
 
-def _build_power(args, kwargs, out):
-    a = _operand(args[0], out.dtype)
-    exponent = float(_param(args, kwargs, 1, "exponent", None))
-
-    def thunk():
-        np.power(a, exponent, out=out)
-    return thunk
-
-
-def _build_clip(args, kwargs, out):
-    a = _operand(args[0], out.dtype)
-    low = _param(args, kwargs, 1, "low", None)
-    high = _param(args, kwargs, 2, "high", None)
-
-    def thunk():
-        np.clip(a, low, high, out=out)
-    return thunk
-
-
 def _build_relu(args, kwargs, out):
     a = _operand(args[0], out.dtype)
     mask = np.empty(a.shape, dtype=bool)
@@ -272,14 +252,6 @@ def _build_relu(args, kwargs, out):
     def thunk():
         np.greater(a, 0, out=mask)
         np.multiply(a, mask, out=out)
-    return thunk
-
-
-def _build_sigmoid(args, kwargs, out):
-    a = _operand(args[0], out.dtype)
-
-    def thunk():
-        _stable_sigmoid(a, out=out)
     return thunk
 
 
@@ -443,15 +415,9 @@ _KERNEL_BUILDERS = {
     "sub": _binary_kernel(np.subtract),
     "mul": _binary_kernel(np.multiply),
     "div": _binary_kernel(np.divide),
-    "power": _build_power,
-    "neg": _unary_kernel(np.negative),
-    "exp": _unary_kernel(np.exp),
-    "log": _unary_kernel(np.log),
     "sqrt": _unary_kernel(np.sqrt),
     "tanh": _unary_kernel(np.tanh),
-    "clip": _build_clip,
     "relu": _build_relu,
-    "sigmoid": _build_sigmoid,
     "abs_lt": _build_abs_lt,
     "where": _build_where,
     "sum": _reduction_kernel(np.sum),

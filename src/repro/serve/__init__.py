@@ -22,7 +22,8 @@ One configuration object drives every component:
 * :class:`MicroBatcher` — coalesces concurrent single-admission requests
   into padded fixed-shape batches, turning per-request forwards into the
   batched GEMMs the fused kernels are optimized for, with
-  **bit-identical** results regardless of how requests were coalesced.
+  **bit-identical** results regardless of how requests were coalesced;
+  ``submit`` returns a :class:`concurrent.futures.Future`.
 * :class:`ReplicaPool` / :class:`AsyncServeFrontend` — shared-nothing
   multi-process serving: forked workers each rebuild the model from the
   run directory's spec + checkpoint, stateless predicts round-robin,
@@ -60,7 +61,7 @@ or in code::
         p = pool.predict_proba(one_admission)       # from any thread
 """
 
-from .batcher import MicroBatcher, RequestHandle, ServeRequestError
+from .batcher import MicroBatcher, ServeRequestError
 from .cache import PreprocessCache, prepare_admission
 from .config import ServeConfig, resolve_config
 from .loadtest import check_floor, run_loadtest
@@ -74,7 +75,7 @@ __all__ = [
     "ServeConfig", "resolve_config",
     "Predictor",
     "StreamingSession", "SessionStore",
-    "MicroBatcher", "RequestHandle", "ServeRequestError",
+    "MicroBatcher", "ServeRequestError",
     "ReplicaPool", "AsyncServeFrontend",
     "ServeDeadlineError", "ServeOverloadError", "ServeWorkerError",
     "PreprocessCache", "prepare_admission",

@@ -1,17 +1,22 @@
-"""Micro-batching: coalesce concurrent single-admission requests.
+"""One coalescing loop for both serving tiers, and the in-process tier.
 
 Per-request forward passes waste the hardware: a single admission drives
-tiny GEMV-shaped kernels, while the PR-2 fused kernels are tuned for
-batched GEMMs.  The :class:`MicroBatcher` sits between many caller
-threads and one :class:`~repro.serve.Predictor`:
+tiny GEMV-shaped kernels, while the fused kernels are tuned for batched
+GEMMs.  :func:`run_coalescing_loop` is the one place that decides which
+requests share a forward.  The :class:`MicroBatcher` thread runs it
+in-process, and every :class:`~repro.serve.ReplicaPool` worker runs it
+in its own process:
 
-1. callers block in :meth:`MicroBatcher.predict_proba` (or get a handle
-   from :meth:`MicroBatcher.submit`) while their request sits in a queue;
-2. a worker thread drains the queue, coalescing up to ``max_batch_size``
-   requests, waiting at most ``max_wait_ms`` after the first request of
-   a batch arrives;
-3. one padded fixed-shape forward serves the whole batch and results fan
-   back out to the waiting callers.
+1. the first predict opens a batch;
+2. later predicts join it until it holds ``max_batch_size`` rows or
+   ``max_wait_ms`` has passed since the first one arrived;
+3. one padded fixed-shape forward serves the whole batch and each
+   outcome goes back through the tier's ``reply`` hook.
+
+A streaming step, a predict that would overflow the batch, or the stop
+sentinel closes the batch early and is *carried*: it is handled next,
+ahead of everything queued behind it, so an overflowing predict leads
+the next batch.
 
 Every forward runs at exactly ``max_batch_size`` rows (zero-padded), so
 an admission's probabilities are **bit-identical** no matter which
@@ -20,164 +25,117 @@ single-request forward through the same padded path.  BLAS picks kernels
 per GEMM shape, so this determinism is only available at a fixed shape;
 see docs/SERVING.md.
 
-The worker thread never holds a reference to the batcher itself: it runs
-on a detached :class:`_WorkerState`, and a ``weakref.finalize`` hook
-aborts the worker when the last reference to an un-stopped batcher is
-dropped — in-flight requests fail with :class:`ServeRequestError`
-instead of hanging forever on a thread nobody can reach.
+The batcher's thread never holds a reference to the batcher itself, and
+a ``weakref.finalize`` hook aborts it when the last reference to an
+un-stopped batcher is dropped: requests still queued fail with
+:class:`ServeRequestError` instead of hanging forever on a thread
+nobody can reach.
 """
 
 from __future__ import annotations
 
+import functools
 import queue
 import threading
 import weakref
+from concurrent.futures import Future
 from time import monotonic, perf_counter
 
 from .config import resolve_config
 
-__all__ = ["MicroBatcher", "RequestHandle", "ServeRequestError"]
-
-_SENTINEL = object()
+__all__ = ["MicroBatcher", "ServeRequestError", "run_coalescing_loop"]
 
 
 class ServeRequestError(RuntimeError):
     """A request failed inside the serving worker (original as cause)."""
 
 
-class _Pending:
-    """One in-flight request: the rows, a latch, and the outcome."""
+def run_coalescing_loop(requests, predictor, config, reply, store=None):
+    """Serve ``requests`` until the ``None`` sentinel arrives.
 
-    __slots__ = ("rows", "event", "result", "error", "submitted_at")
+    ``requests`` is a queue of ``("predict", key, rows)``, ``("step",
+    key, admission_id, values_t, mask_t, deltas_t)`` and ``None``.
+    Predicts coalesce into one forward padded to
+    ``config.max_batch_size`` rows, within ``config.max_wait_ms`` of the
+    batch's first arrival (``0`` serves only what is already queued);
+    steps go through ``store``.  ``reply(key, ok, payload)`` receives
+    each outcome: the probabilities, or the exception raised.
+    """
+    window = config.max_wait_ms / 1000.0
+    carried = []
+    while True:
+        message = carried.pop() if carried else requests.get()
+        if message is None:
+            return
+        if message[0] == "step":
+            _, key, admission_id, values_t, mask_t, deltas_t = message
+            try:
+                probs = store.step(admission_id, values_t, mask_t=mask_t,
+                                   deltas_t=deltas_t)
+            except Exception as error:
+                reply(key, False, error)
+            else:
+                reply(key, True, probs)
+            continue
+        batch = [message]
+        filled = len(message[2])
+        deadline = monotonic() + window
+        while filled < config.max_batch_size:
+            remaining = deadline - monotonic()
+            try:
+                message = (requests.get(timeout=remaining) if remaining > 0
+                           else requests.get_nowait())
+            except queue.Empty:
+                break
+            if message is None or message[0] != "predict" or \
+                    filled + len(message[2]) > config.max_batch_size:
+                carried.append(message)
+                break
+            batch.append(message)
+            filled += len(message[2])
+        try:
+            outcomes = predictor.predict_coalesced(
+                [rows for _, _, rows in batch], pad_to=config.max_batch_size)
+            ok = True
+        except Exception as error:  # fan the failure out to every caller
+            outcomes, ok = [error] * len(batch), False
+        for (_, key, _), payload in zip(batch, outcomes):
+            reply(key, ok, payload)
 
-    def __init__(self, rows):
-        self.rows = rows
-        self.event = threading.Event()
-        self.result = None
-        self.error = None
+
+class _Request(Future):
+    """A caller's Future, stamped with its submit time for metrics."""
+
+    def __init__(self):
+        super().__init__()
         self.submitted_at = perf_counter()
 
 
-class RequestHandle:
-    """Future-like handle returned by :meth:`MicroBatcher.submit`."""
-
-    def __init__(self, pending):
-        self._pending = pending
-
-    def done(self):
-        return self._pending.event.is_set()
-
-    def result(self, timeout=None):
-        """Block until the response arrives; re-raise worker failures."""
-        if not self._pending.event.wait(timeout):
-            raise TimeoutError("serving request timed out")
-        if self._pending.error is not None:
-            raise ServeRequestError(
-                "request failed in the serving worker"
-            ) from self._pending.error
-        return self._pending.result
+def _resolve(metrics, future, ok, payload):
+    """The batcher's ``reply`` hook: settle the caller's Future."""
+    if not future.set_running_or_notify_cancel():
+        return  # the caller cancelled it
+    if ok:
+        if metrics is not None:
+            metrics.record_request(perf_counter() - future.submitted_at)
+        future.set_result(payload)
+    else:
+        error = ServeRequestError("request failed in the serving worker")
+        error.__cause__ = payload
+        future.set_exception(error)
 
 
-class _WorkerState:
-    """Everything the serve loop needs — deliberately *not* the batcher.
-
-    The thread targets a module-level function over this state, so the
-    :class:`MicroBatcher` stays collectible while its worker runs; the
-    batcher's finalizer flips ``abort`` when that happens.
-    """
-
-    __slots__ = ("predictor", "max_batch_size", "max_wait_ms", "metrics",
-                 "queue", "abort")
-
-    def __init__(self, predictor, max_batch_size, max_wait_ms, metrics):
-        self.predictor = predictor
-        self.max_batch_size = max_batch_size
-        self.max_wait_ms = max_wait_ms
-        self.metrics = metrics
-        self.queue = queue.Queue()
-        self.abort = threading.Event()
-
-
-def _fail(pending, message):
-    pending.error = RuntimeError(message)
-    pending.event.set()
-
-
-def _abort_worker(state):
-    """Finalizer body: stop a worker whose batcher was dropped un-stopped.
-
-    Queued and future requests fail fast (via :class:`ServeRequestError`
-    in :meth:`RequestHandle.result`) rather than blocking forever.
-    """
-    state.abort.set()
-    state.queue.put(_SENTINEL)
-
-
-def _collect_batch(state, first):
-    """Coalesce requests after ``first`` until full or deadline."""
-    batch = [first]
-    rows = len(first.rows)
-    deadline = monotonic() + state.max_wait_ms / 1000.0
-    while rows < state.max_batch_size:
-        remaining = deadline - monotonic()
-        try:
-            item = (state.queue.get_nowait() if remaining <= 0
-                    else state.queue.get(timeout=remaining))
-        except queue.Empty:
-            break
-        if item is _SENTINEL:
-            # Put the shutdown marker back for the outer loop, but
-            # serve everything already accepted first.
-            state.queue.put(_SENTINEL)
-            break
-        if rows + len(item.rows) > state.max_batch_size:
-            # Does not fit this batch; lead the next one with it.
-            state.queue.put(item)
-            break
-        batch.append(item)
-        rows += len(item.rows)
-    return batch
-
-
-def _drain_aborted(state):
-    """Fail everything still queued after an abort."""
+def _abort(requests, reply):
+    """Finalizer body: fail what a dropped, un-stopped batcher still has
+    queued, then stop its thread."""
     while True:
         try:
-            item = state.queue.get_nowait()
+            message = requests.get_nowait()
         except queue.Empty:
-            return
-        if item is not _SENTINEL:
-            _fail(item, "MicroBatcher was dropped without stop(); "
-                        "request abandoned")
-
-
-def _serve_loop(state):
-    while True:
-        item = state.queue.get()
-        if item is _SENTINEL:
-            if state.abort.is_set():
-                _drain_aborted(state)
-            return
-        if state.abort.is_set():
-            _fail(item, "MicroBatcher was dropped without stop(); "
-                        "request abandoned")
-            continue
-        batch = _collect_batch(state, item)
-        try:
-            results = state.predictor.predict_coalesced(
-                [p.rows for p in batch], pad_to=state.max_batch_size)
-        except Exception as error:  # fan the failure out to callers
-            for pending in batch:
-                pending.error = error
-                pending.event.set()
-            continue
-        finished = perf_counter()
-        for pending, result in zip(batch, results):
-            pending.result = result
-            if state.metrics is not None:
-                state.metrics.record_request(
-                    finished - pending.submitted_at)
-            pending.event.set()
+            break
+        reply(message[1], False, RuntimeError(
+            "MicroBatcher was dropped without stop(); request abandoned"))
+    requests.put(None)
 
 
 class MicroBatcher:
@@ -206,14 +164,10 @@ class MicroBatcher:
     def __init__(self, predictor, config=None, *, metrics=None):
         self.config = resolve_config(config, owner="MicroBatcher",
                                      base=getattr(predictor, "config", None))
-        if self.config.max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
         self.predictor = predictor
         self.max_batch_size = self.config.max_batch_size
-        self.max_wait_ms = self.config.max_wait_ms
         self.metrics = metrics
-        self._state = _WorkerState(predictor, self.max_batch_size,
-                                   self.max_wait_ms, metrics)
+        self._requests = queue.Queue()
         self._worker = None
         self._finalizer = None
 
@@ -223,23 +177,25 @@ class MicroBatcher:
     def start(self):
         if self._worker is not None:
             raise RuntimeError("MicroBatcher already started")
-        self._state.abort.clear()
-        self._worker = threading.Thread(target=_serve_loop,
-                                        args=(self._state,),
-                                        name="repro-serve-worker",
-                                        daemon=True)
+        # The thread and the finalizer get the queue and the hook, never
+        # ``self``, so a dropped batcher stays collectible.
+        reply = functools.partial(_resolve, self.metrics)
+        self._worker = threading.Thread(
+            target=run_coalescing_loop,
+            args=(self._requests, self.predictor, self.config, reply),
+            name="repro-serve-worker", daemon=True)
         self._worker.start()
-        self._finalizer = weakref.finalize(self, _abort_worker, self._state)
+        self._finalizer = weakref.finalize(self, _abort, self._requests,
+                                           reply)
         return self
 
     def stop(self):
         """Drain outstanding requests, then stop the worker."""
         if self._worker is None:
             return
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        self._state.queue.put(_SENTINEL)
+        self._finalizer.detach()
+        self._finalizer = None
+        self._requests.put(None)
         self._worker.join()
         self._worker = None
 
@@ -254,11 +210,14 @@ class MicroBatcher:
     # Client surface
     # ------------------------------------------------------------------
     def submit(self, rows):
-        """Enqueue a request; returns a :class:`RequestHandle`.
+        """Enqueue a request; returns a :class:`concurrent.futures.Future`
+        of its probabilities.
 
         ``rows`` is a (usually single-admission) model-ready
         :class:`~repro.data.dataset.EMRDataset`; it may hold up to
-        ``max_batch_size`` rows.
+        ``max_batch_size`` rows.  A failed forward sets
+        :class:`ServeRequestError`, with the original exception as its
+        ``__cause__``.
         """
         if self._worker is None:
             raise RuntimeError("MicroBatcher is not running; use it as a "
@@ -266,9 +225,9 @@ class MicroBatcher:
         if len(rows) > self.max_batch_size:
             raise ValueError(f"request of {len(rows)} rows exceeds "
                              f"max_batch_size={self.max_batch_size}")
-        pending = _Pending(rows)
-        self._state.queue.put(pending)
-        return RequestHandle(pending)
+        future = _Request()
+        self._requests.put(("predict", future, rows))
+        return future
 
     def predict_proba(self, rows, timeout=None):
         """Blocking convenience: submit and wait for the probabilities."""

@@ -1,10 +1,11 @@
 """One serving configuration object: :class:`ServeConfig`.
 
 The serving stack grew one keyword at a time — ``batch_size`` on the
-:class:`~repro.serve.Predictor`, ``max_batch_size``/``max_wait_ms`` on
-the :class:`~repro.serve.MicroBatcher`, ``capacity`` on the
+:class:`~repro.serve.Predictor`, ``max_batch_size``/``max_wait_ms`` for
+the coalescing loop that the :class:`~repro.serve.MicroBatcher` and the
+replica-pool workers share, ``capacity`` on the
 :class:`~repro.serve.PreprocessCache`, ``capture``/``max_captures`` for
-graph capture, and now pool sizing and deadlines for the replica pool.
+graph capture, and pool sizing and deadlines for the replica pool.
 :class:`ServeConfig` consolidates all of them into a single frozen
 dataclass that every serving component accepts as its first
 configuration argument, that round-trips through JSON, and that training
@@ -37,8 +38,10 @@ class ServeConfig:
         guarantee) both in the :class:`~repro.serve.MicroBatcher` and in
         replica-pool workers.
     max_wait_ms:
-        How long the micro-batching worker holds an under-full batch
-        open after its first request arrived.
+        How long the coalescing loop holds an under-full batch open
+        after its first request arrived, in the
+        :class:`~repro.serve.MicroBatcher` and in every replica-pool
+        worker alike; ``0`` serves only what is already queued.
     cache_capacity:
         LRU capacity shared by the preprocessing cache and the
         streaming session store (entries, per component).

@@ -9,8 +9,9 @@ own :class:`~repro.serve.SessionStore`.  The parent process never holds
 the model — it only routes:
 
 * **stateless predicts** round-robin across workers, each worker
-  coalescing whatever is queued into one padded fixed-shape forward
-  (the MicroBatcher determinism guarantee, per replica);
+  running the :class:`MicroBatcher`'s coalescing loop: predicts that
+  arrive within ``max_wait_ms`` of a batch's first share one padded
+  fixed-shape forward (the same determinism guarantee, per replica);
 * **streaming steps** shard *stickily* — ``crc32(admission_id) %
   workers`` — so an admission's recurrent state lives in exactly one
   worker and every step request finds it (CRC, unlike ``hash(str)``, is
@@ -46,7 +47,7 @@ from concurrent.futures import Future
 from pathlib import Path
 from time import perf_counter
 
-from .batcher import ServeRequestError
+from .batcher import ServeRequestError, run_coalescing_loop
 from .config import ServeConfig, resolve_config
 from .metrics import ServeMetrics
 
@@ -79,10 +80,10 @@ def _worker_main(index, run_dir, checkpoint, config_payload, requests,
                  responses):
     """Pool worker: rebuild the replica, then serve until the sentinel.
 
-    Runs in a forked child.  Stateless predicts are coalesced
-    opportunistically (drain whatever else is queued, up to
-    ``max_batch_size`` rows) into one padded forward; streaming steps go
-    through a per-admission :class:`SessionStore`.
+    Runs in a forked child, over the same :func:`run_coalescing_loop` as
+    the :class:`MicroBatcher`: stateless predicts coalesce into one
+    padded forward within ``max_wait_ms`` of the batch's first arrival;
+    streaming steps go through a per-admission :class:`SessionStore`.
     """
     from .predictor import Predictor
     from .streaming import SessionStore
@@ -102,65 +103,13 @@ def _worker_main(index, run_dir, checkpoint, config_payload, requests,
         return
     responses.put((_READY, index, pid, fingerprint))
 
-    def serve_predicts(batch):
-        """One padded forward for all coalesced predict requests."""
-        try:
-            results = predictor.predict_coalesced(
-                [rows for _, rows in batch], pad_to=config.max_batch_size)
-        except Exception as error:
-            for rid, _ in batch:
-                responses.put((rid, False, f"{type(error).__name__}: "
-                                           f"{error}", pid))
-            return
-        for (rid, _), probs in zip(batch, results):
-            responses.put((rid, True, probs, pid))
+    def reply(rid, ok, payload):
+        if not ok:
+            payload = f"{type(payload).__name__}: {payload}"
+        responses.put((rid, ok, payload, pid))
 
-    pending = None
-    while True:
-        message = pending if pending is not None else requests.get()
-        pending = None
-        if message is None:
-            responses.put((_EXIT, index, pid, metrics.snapshot()))
-            return
-        if message[0] == "predict":
-            batch = [(message[1], message[2])]
-            rows = len(message[2])
-            while rows < config.max_batch_size:
-                try:
-                    extra = requests.get_nowait()
-                except queue_module.Empty:
-                    break
-                if extra is not None and extra[0] == "predict" and \
-                        rows + len(extra[2]) <= config.max_batch_size:
-                    batch.append((extra[1], extra[2]))
-                    rows += len(extra[2])
-                else:
-                    if extra is None:
-                        serve_predicts(batch)
-                        responses.put(
-                            (_EXIT, index, pid, metrics.snapshot()))
-                        return
-                    # A step, or a predict that overflows this batch:
-                    # carry it back to the outer dispatch so it is
-                    # handled by kind (an overflow predict leads the
-                    # next batch) instead of being mis-unpacked as a
-                    # step.
-                    pending = extra
-                    break
-            serve_predicts(batch)
-        else:
-            _serve_step(message, store, responses, pid)
-
-
-def _serve_step(message, store, responses, pid):
-    _, rid, admission_id, values_t, mask_t, deltas_t = message
-    try:
-        probs = store.step(admission_id, values_t, mask_t=mask_t,
-                           deltas_t=deltas_t)
-    except Exception as error:
-        responses.put((rid, False, f"{type(error).__name__}: {error}", pid))
-        return
-    responses.put((rid, True, probs, pid))
+    run_coalescing_loop(requests, predictor, config, reply, store)
+    responses.put((_EXIT, index, pid, metrics.snapshot()))
 
 
 class ReplicaPool:
@@ -176,8 +125,9 @@ class ReplicaPool:
     config:
         A :class:`~repro.serve.ServeConfig`; ``workers`` sizes the pool,
         ``queue_depth`` bounds in-flight requests, ``max_batch_size`` is
-        each worker's padded forward shape, ``cache_capacity`` sizes the
-        per-worker session stores.  Defaults to the run directory's
+        each worker's padded forward shape, ``max_wait_ms`` how long a
+        worker holds an under-full batch open, ``cache_capacity`` sizes
+        the per-worker session stores.  Defaults to the run directory's
         persisted ``serve`` block.
     metrics:
         Optional :class:`~repro.serve.ServeMetrics`; per-request

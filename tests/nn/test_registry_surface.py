@@ -17,6 +17,10 @@ and three :meth:`StreamingSession.step` calls.  Two guards read it:
   cannot change the loss — e.g. an attention-score bias that the
   softmax over the scored axis cancels — so it is deleted, not
   excused: there is no liveness allowlist.
+
+A third guard traces every model's predict through
+:func:`repro.nn.capture.trace` and requires the replay kernels it builds
+to be exactly the keys of ``capture._KERNEL_BUILDERS``.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import pytest
 from repro.baselines import ALL_MODEL_NAMES, build_model
 from repro.bench import profile
 from repro.data import NUM_FEATURES, SyntheticEMRGenerator, build_dataset
-from repro.nn import ops
+from repro.nn import capture, ops
 from repro.nn.dtype import autocast
 from repro.nn.losses import bce_with_logits, cross_entropy
 from repro.serve import Predictor
@@ -186,3 +190,42 @@ class TestLiveness:
         assert not dead, (
             f"{run}: parameters whose gradient never exceeds roundoff "
             f"({floor:.1e}): {dead}")
+
+
+# ----------------------------------------------------------------------
+# Capture kernels
+# ----------------------------------------------------------------------
+
+class TestCaptureKernels:
+    def test_kernels_are_exactly_those_registry_models_build(self):
+        """Tracing every registry model's predict (binary, plus
+        multi-class for the ELDA-Net variants) builds every entry of
+        ``capture._KERNEL_BUILDERS`` and no other.  A kernel that no
+        trace builds is code capture never runs; an op without one
+        replays through the exact eager fallback."""
+        admissions = SyntheticEMRGenerator().sample_many(
+            ROWS, np.random.default_rng(3))
+        dataset, _ = build_dataset(admissions)
+        batch = dataset.truncate(STEPS)
+        built = set()
+
+        def recording(name, builder):
+            def build(args, kwargs, out):
+                built.add(name)
+                return builder(args, kwargs, out)
+            return build
+
+        with pytest.MonkeyPatch.context() as patch, autocast("float64"):
+            for name, builder in list(capture._KERNEL_BUILDERS.items()):
+                patch.setitem(capture._KERNEL_BUILDERS, name,
+                              recording(name, builder))
+            for name in ALL_MODEL_NAMES:
+                heads = [{}] + ([dict(num_classes=CLASSES)]
+                                if _multiclass(name) else [])
+                for head in heads:
+                    model = build_model(name, NUM_FEATURES,
+                                        np.random.default_rng(0),
+                                        **head, **SMALL_KWARGS[name])
+                    capture.trace(model, batch)
+        assert built == set(capture._KERNEL_BUILDERS), (
+            f"never built: {sorted(set(capture._KERNEL_BUILDERS) - built)}")

@@ -53,6 +53,28 @@ class TestLifecycle:
             with pytest.raises(ValueError, match="exceeds max_batch_size"):
                 batcher.submit(tiny_dataset.subset(np.arange(5)))
 
+    def test_cancelled_request_leaves_the_worker_serving(self, predictor,
+                                                         rows):
+        """``submit`` returns a plain Future, so a caller may cancel it
+        while it is queued; the worker skips it and keeps serving."""
+        gate = threading.Event()
+
+        class GatedPredictor:
+            config = ServeConfig(max_batch_size=1, max_wait_ms=0)
+
+            def predict_coalesced(self, rows_list, pad_to):
+                assert gate.wait(timeout=30)
+                return predictor.predict_coalesced(rows_list, pad_to)
+
+        with MicroBatcher(GatedPredictor()) as batcher:
+            first = batcher.submit(rows[0])
+            queued = batcher.submit(rows[1])
+            assert queued.cancel()
+            gate.set()
+            assert first.result(timeout=30).shape == (1,)
+            assert batcher.predict_proba(rows[2], timeout=30).shape == (1,)
+        assert queued.cancelled()
+
 
 class TestBitIdentity:
     def test_micro_batched_equals_single_request(self, predictor, rows):
@@ -100,6 +122,44 @@ class TestBitIdentity:
             np.testing.assert_array_equal(
                 output,
                 sigmoid_probs(predictor.predict_logits(request, pad_to=16)))
+
+
+class TestCoalescingOrder:
+    def test_overflowing_request_leads_the_next_batch(self):
+        """A request that does not fit the open batch is served first in
+        the next one, ahead of the requests queued behind it."""
+        class Rows:
+            def __init__(self, name, size):
+                self.name, self.size = name, size
+
+            def __len__(self):
+                return self.size
+
+        class GatedPredictor:
+            config = ServeConfig(max_batch_size=4, max_wait_ms=50)
+
+            def __init__(self):
+                self.batches = []
+                self.entered = threading.Event()
+                self.gate = threading.Event()
+
+            def predict_coalesced(self, rows_list, pad_to):
+                self.batches.append([rows.name for rows in rows_list])
+                self.entered.set()
+                assert self.gate.wait(timeout=30)
+                return [np.zeros(len(rows)) for rows in rows_list]
+
+        predictor = GatedPredictor()
+        with MicroBatcher(predictor) as batcher:
+            futures = [batcher.submit(Rows("X", 4))]
+            assert predictor.entered.wait(timeout=30)
+            # X fills its batch and holds the worker while A..D queue.
+            futures += [batcher.submit(Rows(name, size)) for name, size
+                        in (("A", 3), ("B", 2), ("C", 1), ("D", 1))]
+            predictor.gate.set()
+            for future in futures:
+                future.result(timeout=30)
+        assert predictor.batches == [["X"], ["A"], ["B", "C", "D"]]
 
 
 class TestThreadedStress:
@@ -176,9 +236,10 @@ class TestMetricsIntegration:
 class TestGarbageCollection:
     """Dropping an un-stopped batcher must not leak its worker thread.
 
-    The worker targets a detached ``_WorkerState`` (never the batcher),
-    and a ``weakref.finalize`` hook aborts it once the batcher becomes
-    unreachable; queued requests fail fast instead of hanging forever.
+    The worker thread gets the request queue and a reply hook (never the
+    batcher), and a ``weakref.finalize`` hook aborts it once the batcher
+    becomes unreachable; queued requests fail fast instead of hanging
+    forever.
     """
 
     def test_dropped_batcher_stops_worker_and_fails_pending(self,

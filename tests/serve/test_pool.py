@@ -12,6 +12,8 @@ import asyncio
 import json
 import os
 import queue as queue_module
+import threading
+import time
 from concurrent.futures import Future
 
 import numpy as np
@@ -202,6 +204,34 @@ class TestWorkerCoalescing:
         assert np.array_equal(payload, sigmoid_probs(
             local_predictor.predict_logits(
                 rows, pad_to=config.max_batch_size)))
+
+    def test_worker_holds_an_under_full_batch_open_for_max_wait_ms(
+            self, trained_run, serve_splits):
+        # The second predict arrives ~50 ms after the first, inside the
+        # 1 s window, so both share one forward; the sentinel closes the
+        # window early instead of waiting it out.
+        _, run_dir = trained_run
+        config = POOL_CONFIG.replace(workers=1, max_wait_ms=1000)
+        row = serve_splits.test.subset([0])
+        requests, responses = queue_module.Queue(), queue_module.Queue()
+        worker = threading.Thread(target=_worker_main, args=(
+            0, str(run_dir), "best", config.to_dict(), requests, responses))
+        worker.start()
+        ready = responses.get(timeout=60)
+        assert ready[0] == _READY
+        assert not str(ready[3]).startswith("error:")
+        requests.put(("predict", 1, row))
+        time.sleep(0.05)
+        requests.put(("predict", 2, row))
+        requests.put(None)
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        results = [responses.get_nowait() for _ in range(3)]
+        assert sorted(rid for rid, ok, _, _ in results[:2]) == [1, 2]
+        assert all(ok for _, ok, _, _ in results[:2])
+        exited = results[2]
+        assert exited[0] == _EXIT
+        assert exited[3]["batch_sizes"] == {"2": 1}
 
 
 class TestBackpressureAndDeadlines:
