@@ -15,9 +15,11 @@ Rearranged, Eq. 2 is affine in the value,
 
     e_i = x'_i (V_i^a - V_i^b) / (b - a) + (b V_i^b - a V_i^a) / (b - a)
 
-which is how :func:`repro.nn.ops.bi_embedding` computes it: a (C, e)
-slope and intercept from the two tables, then one multiply-add over the
-(B, T, C, e) slab, as a single graph node.
+and the FM embedding is the same form with a zero intercept.  Each
+module computes its (C, e) slope and intercept from its tables with
+small ops, and :func:`repro.nn.ops.affine_embedding` then runs the one
+multiply-add over the (B, T, C, e) slab together with the routings
+below, as a single graph node.
 
 Never-observed features (missingness type 3) are routed to a dedicated
 embedding row ``V_i^m``.
@@ -31,19 +33,16 @@ The ablation variants from Section V-C are provided as drop-in classes:
 
 from __future__ import annotations
 
-from ..nn.backend import xp as np
-
 from .. import nn
 from ..nn import ops
 from ..nn.module import Module, Parameter
 
 __all__ = ["BiDirectionalEmbedding", "FMEmbedding", "build_embedding"]
 
-_ZERO_TOL = 1e-9
-
 
 class _NumericEmbedding(Module):
-    """Shared plumbing: missing-value routing and the ``*`` zero variant."""
+    """Shared plumbing: the affine node with the missing-value routing
+    and the ``*`` zero variant."""
 
     def __init__(self, num_features, embedding_size, star=False):
         super().__init__()
@@ -51,7 +50,8 @@ class _NumericEmbedding(Module):
         self.embedding_size = embedding_size
         self.star = star
 
-    def _value_embedding(self, x):
+    def _affine(self):
+        """The ``(C, e)`` slope and intercept (``None`` for zero)."""
         raise NotImplementedError
 
     def forward(self, x, ever_observed=None):
@@ -69,24 +69,10 @@ class _NumericEmbedding(Module):
         -------
         Tensor (batch, time, features, embedding_size).
         """
-        x = nn.as_tensor(x)
-        embedded = self._value_embedding(x)
-        # Both masks below flow through op-layer indicators (not raw
-        # array math) so inference graph capture sees them recompute per
-        # batch; the never-observed routing is branch-free for the same
-        # reason (an all-false where is a bitwise identity).
-        if self.star:
-            zero = ops.reshape(ops.abs_lt(x, _ZERO_TOL), x.shape + (1,))
-            ones = nn.Tensor(np.ones(embedded.shape))
-            embedded = ops.where(zero, ones, embedded)
-        if ever_observed is not None:
-            ever = nn.as_tensor(ever_observed)
-            never = ops.reshape(ops.abs_lt(ever, 0.5),
-                                (ever.shape[0], 1, ever.shape[1], 1))
-            missing = self.missing_table.reshape(
-                1, 1, self.num_features, self.embedding_size)
-            embedded = ops.where(never, missing, embedded)
-        return embedded
+        slope, intercept = self._affine()
+        missing = None if ever_observed is None else self.missing_table
+        return ops.affine_embedding(x, slope, intercept, ever_observed,
+                                    missing, star=self.star)
 
 
 class BiDirectionalEmbedding(_NumericEmbedding):
@@ -120,9 +106,12 @@ class BiDirectionalEmbedding(_NumericEmbedding):
         self.missing_table = Parameter(
             nn.init.glorot_uniform((num_features, embedding_size), rng))
 
-    def _value_embedding(self, x):
-        return ops.bi_embedding(x, self.table_lower, self.table_upper,
-                                self.lower, self.upper)
+    def _affine(self):
+        span = self.upper - self.lower
+        slope = (self.table_lower - self.table_upper) / span
+        intercept = (self.table_upper * self.upper
+                     - self.table_lower * self.lower) / span
+        return slope, intercept
 
 
 class FMEmbedding(_NumericEmbedding):
@@ -139,8 +128,8 @@ class FMEmbedding(_NumericEmbedding):
         self.missing_table = Parameter(
             nn.init.glorot_uniform((num_features, embedding_size), rng))
 
-    def _value_embedding(self, x):
-        return x.reshape(*x.shape, 1) * self.table
+    def _affine(self):
+        return self.table, None
 
 
 def build_embedding(kind, num_features, embedding_size, rng, lower=-3.0,

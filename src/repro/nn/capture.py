@@ -20,9 +20,11 @@ no per-op Tensor boxing:
 * ops that returned views (``reshape``, ``transpose``, ``getitem``
   and ``split`` slices …) need no thunk at all — the view objects
   captured at trace time stay live over the mutated base buffers;
-* the fused ELDA-Net ops (``bi_embedding``, ``feature_interaction``)
+* the fused ELDA-Net ops (``affine_embedding``, ``feature_interaction``)
   replay through the very out=-buffered helpers their eager forwards
-  call, into slabs pinned at trace time;
+  call; ``affine_embedding`` recomputes its routing masks from the live
+  batch buffers, and ``feature_interaction`` runs in one tile's pinned
+  scratch, keeping no full-size slab;
 * composite or fused ops with no hand kernel (``var``, ``gru_scan``,
   ``grud_scan`` …) fall back to re-running their eager forward on the
   retained argument tensors — whose ``.data`` *are* the live buffers —
@@ -255,39 +257,6 @@ def _build_relu(args, kwargs, out):
     return thunk
 
 
-def _build_abs_lt(args, kwargs, out):
-    a = _operand(args[0], out.dtype)
-    threshold = _param(args, kwargs, 1, "threshold", None)
-    bound = a.dtype.type(threshold)
-    scratch = np.empty(a.shape, dtype=a.dtype)
-    mask = np.empty(a.shape, dtype=bool)
-
-    def thunk():
-        np.abs(a, out=scratch)
-        np.less(scratch, bound, out=mask)
-        np.copyto(out, mask, casting="unsafe")
-    return thunk
-
-
-def _build_where(args, kwargs, out):
-    cond = _data(_param(args, kwargs, 0, "condition", None))
-    a = _operand(_param(args, kwargs, 1, "a", None), out.dtype)
-    b = _operand(_param(args, kwargs, 2, "b", None), out.dtype)
-    cond = np.asarray(cond)
-    if cond.dtype == bool:
-        mask, to_bool = cond, None
-    else:
-        mask = np.empty(cond.shape, dtype=bool)
-        to_bool = cond
-
-    def thunk():
-        if to_bool is not None:
-            np.not_equal(to_bool, 0, out=mask)
-        np.copyto(out, b)
-        np.copyto(out, a, where=mask)
-    return thunk
-
-
 def _reduction_kernel(reducer):
     def build(args, kwargs, out):
         a = _operand(args[0], out.dtype)
@@ -364,49 +333,46 @@ def _build_getitem(args, kwargs, out):
     return thunk
 
 
-def _build_bi_embedding(args, kwargs, out):
+def _build_affine_embedding(args, kwargs, out):
     x = _operand(args[0], out.dtype)
-    table_lower = _operand(_param(args, kwargs, 1, "table_lower", None),
-                           out.dtype)
-    table_upper = _operand(_param(args, kwargs, 2, "table_upper", None),
-                           out.dtype)
-    lower = float(_param(args, kwargs, 3, "lower", None))
-    upper = float(_param(args, kwargs, 4, "upper", None))
-    slope = np.empty_like(table_lower)
-    intercept = np.empty_like(table_lower)
+    slope = _operand(_param(args, kwargs, 1, "slope", None), out.dtype)
+    intercept = _param(args, kwargs, 2, "intercept", None)
+    if intercept is not None:
+        intercept = _operand(intercept, out.dtype)
+    ever = _data(_param(args, kwargs, 3, "ever_observed", None))
+    missing = _param(args, kwargs, 4, "missing", None)
+    if ever is not None:
+        ever = np.asarray(ever)
+        missing = _operand(missing, out.dtype)
+    star = _param(args, kwargs, 5, "star", False)
 
     def thunk():
-        # Slope and intercept come from the live tables on every replay,
-        # so in-place weight updates reach the captured graph.
-        ops._bi_embedding_affine(table_lower, table_upper, lower, upper,
-                                 slope, intercept)
-        ops._bi_embedding_into(x, slope, intercept, out)
+        # Both routing masks come from the live batch buffers.
+        zero, never = ops._embedding_masks(x, ever, star)
+        ops._affine_embedding_into(x, slope, intercept, zero, never,
+                                   missing, out)
     return thunk
 
 
 def _build_feature_interaction(args, kwargs, out):
     embedded = _operand(args[0], out.dtype)
     weight = _param(args, kwargs, 1, "attn_weight", None)
+    if weight is not None:
+        weight = _operand(weight, out.dtype)
     compress = _operand(_param(args, kwargs, 2, "compress", None), out.dtype)
-    *lead, channels, _ = embedded.shape
-    lead = tuple(lead)
+    channels, size = embedded.shape[-2:]
     width = compress.shape[-1]
-    dt = out.dtype
-    out4 = out.reshape(lead + (channels, width))    # a view: out is fresh
-    summed, relu_e, relu_ctx = (np.empty(embedded.shape, dtype=dt)
-                                for _ in range(3))
-    partial = np.empty_like(out4)
-    if weight is None:
-        grid = ops._uniform_grid(channels, dt)
-    else:
-        weight = _operand(weight, dt)
-        grid = np.empty(lead + (channels, channels), dtype=dt)
+    rows = embedded.size // (channels * size)
+    flat = embedded.reshape(rows, channels, size)
+    if not np.shares_memory(flat, embedded):
+        return None           # a copied reshape would replay stale data
+    out3 = out.reshape(rows, channels, width)          # a view: out is fresh
+    slabs = ops._interaction_slabs(min(rows, ops._INTERACTION_TILE),
+                                   channels, size, width, out.dtype,
+                                   weight is not None)
 
     def thunk():
-        if weight is not None:
-            ops._interaction_grid(embedded, weight, relu_e, grid)
-        ops._interaction_enrich(embedded, grid, compress, summed, relu_e,
-                                relu_ctx, partial, out4)
+        ops._interaction_forward(flat, weight, compress, slabs, out3)
     return thunk
 
 
@@ -418,15 +384,13 @@ _KERNEL_BUILDERS = {
     "sqrt": _unary_kernel(np.sqrt),
     "tanh": _unary_kernel(np.tanh),
     "relu": _build_relu,
-    "abs_lt": _build_abs_lt,
-    "where": _build_where,
     "sum": _reduction_kernel(np.sum),
     "mean": _reduction_kernel(np.mean),
     "matmul": _build_matmul,
     "softmax": _build_softmax,
     "concat": _build_concat,
     "pad_last": _build_pad_last,
-    "bi_embedding": _build_bi_embedding,
+    "affine_embedding": _build_affine_embedding,
     "feature_interaction": _build_feature_interaction,
     "reshape": _build_reshape,
     "getitem": _build_getitem,

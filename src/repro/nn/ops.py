@@ -53,11 +53,11 @@ from .tensor import Tensor, as_tensor, is_grad_enabled, unbroadcast
 
 __all__ = [
     "add", "sub", "mul", "div", "neg", "power", "matmul", "exp", "log",
-    "sqrt", "tanh", "sigmoid", "relu", "clip", "abs_lt", "sum", "mean",
-    "var", "reshape", "transpose", "swapaxes", "getitem", "concat",
-    "split", "softmax", "softmax_cross_entropy", "where", "pad_last",
-    "gru_scan", "per_feature_gru_scan", "grud_scan", "stagenet_scan",
-    "bi_embedding", "feature_interaction",
+    "sqrt", "tanh", "sigmoid", "relu", "clip", "sum", "mean", "var",
+    "reshape", "transpose", "swapaxes", "getitem", "concat", "split",
+    "softmax", "softmax_cross_entropy", "pad_last", "gru_scan",
+    "per_feature_gru_scan", "grud_scan", "stagenet_scan",
+    "affine_embedding", "feature_interaction",
 ]
 # gru_scan_step / per_feature_gru_scan_step / grud_scan_step /
 # stagenet_scan_step / linear_rows / feature_attention are deliberately
@@ -300,29 +300,6 @@ def power(a, exponent):
 
 
 @differentiable(lambda rng: [
-    # Values kept away from the threshold so finite differences see a
-    # locally constant indicator (gradient exactly zero / exactly one
-    # through the product).
-    OpSample(lambda a: sum(mul(a, abs_lt(a, 0.5))),
-             rng.uniform(1.0, 2.0, size=(6,)) * rng.choice([-1.0, 1.0], 6)),
-    OpSample(lambda a: sum(mul(a, abs_lt(a, 5.0))),
-             rng.uniform(1.0, 2.0, size=(6,)) * rng.choice([-1.0, 1.0], 6)),
-])
-def abs_lt(a, threshold):
-    """Indicator ``|a| < threshold`` as a 0/1 tensor of ``a``'s dtype.
-
-    Non-differentiable (zero gradient everywhere, like a constant):
-    exists so mask-style conditions derived from tensor values flow
-    through the op layer — and therefore through graph capture — instead
-    of being computed with raw numpy and baked stale into a trace.
-    """
-    a = as_tensor(a)
-    dt = a.data.dtype
-    out = (np.abs(a.data) < dt.type(threshold)).astype(dt)
-    return Tensor._make(out, (), None)
-
-
-@differentiable(lambda rng: [
     OpSample(lambda a: sum(clip(a, -0.5, 0.5)), rng.normal(size=(8,)) * 2.0),
 ])
 def clip(a, low, high):
@@ -336,35 +313,6 @@ def clip(a, low, high):
             a._accumulate(grad * mask, owned=True)
 
     return Tensor._make(out_data, (a,), backward)
-
-
-@differentiable(lambda rng: [
-    OpSample(lambda a, b: sum(where(np.arange(6) % 2 == 0, a, b)),
-             rng.normal(size=(6,)), rng.normal(size=(6,))),
-    OpSample(lambda a, b: _sqsum(where(np.eye(3, dtype=bool), a, b)),
-             rng.normal(size=(3, 3)), rng.normal(size=(3,))),
-])
-def where(condition, a, b):
-    """Elementwise select: ``a`` where ``condition`` is true, else ``b``.
-
-    ``condition`` is not differentiated through: a constant boolean
-    array, or a tensor (e.g. an :func:`abs_lt` indicator) whose non-zero
-    entries select ``a`` — routing dynamic conditions through tensors
-    keeps them visible to graph capture.
-    """
-    if isinstance(condition, Tensor):
-        condition = condition.data
-    cond = np.asarray(condition, dtype=bool)
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = np.where(cond, a.data, b.data)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(unbroadcast(grad * cond, a.shape), owned=True)
-        if b.requires_grad:
-            b._accumulate(unbroadcast(grad * (~cond), b.shape), owned=True)
-
-    return Tensor._make(out_data, (a, b), backward)
 
 
 # ----------------------------------------------------------------------
@@ -1801,109 +1749,161 @@ def stagenet_scan(x, h0, c0, w_ih, w_hh, bias, stage_weight, stage_bias,
 # ----------------------------------------------------------------------
 # ELDA-Net feature path (paper Eqs. 2-6)
 #
-# Two graph nodes carry the whole feature path: bi_embedding (Eq. 2 in
-# affine form) and feature_interaction (Eqs. 3-6).  Their forwards are
-# written as out=-buffered helpers shared with the capture replay
-# kernels (repro.nn.capture), so a replay is bit-identical to the eager
-# op by construction.
+# Two graph nodes carry the whole feature path over the (B, T, C, e)
+# slab: affine_embedding (Eq. 2 with the missing-value routing) and
+# feature_interaction (Eqs. 3-6).  Their forwards are written as
+# out=-buffered helpers shared with the capture replay kernels
+# (repro.nn.capture), so a replay is bit-identical to the eager op by
+# construction.
 # ----------------------------------------------------------------------
 
-def _bi_embedding_affine(table_lower, table_upper, lower, upper, slope,
-                         intercept):
-    """Eq. 2's per-feature slope ``(W_l - W_u) / span`` and intercept
-    ``(u W_u - l W_l) / span``, written into ``slope`` / ``intercept``."""
-    span = upper - lower
-    np.subtract(table_lower, table_upper, out=slope)
-    slope /= span
-    np.multiply(table_upper, upper, out=intercept)
-    intercept -= lower * table_lower
-    intercept /= span
+#: ``|x|`` below this is an exact standardized zero for the ``star``
+#: routing of :func:`affine_embedding`.
+_ZERO_TOL = 1e-9
+
+#: Lead rows per tile of :func:`feature_interaction`.  A 64-row tile's
+#: ``(64, C, C)`` grid and ``(64, C, e)`` slabs stay in a 2 MiB L2 at
+#: C=37, e=24; see docs/PERFORMANCE.md for the measured sizes.
+_INTERACTION_TILE = 64
 
 
-def _bi_embedding_into(x, slope, intercept, out):
-    """``x ⊙ slope + intercept`` over a trailing embedding axis."""
+def _embedding_masks(x, ever_observed, star):
+    """The routing masks of :func:`affine_embedding`: ``zero`` (the
+    shape of ``x``) at exact standardized zeros when ``star``, and
+    ``never`` ``(B, C)`` for never-observed features; ``None`` when
+    off."""
+    zero = np.abs(x) < x.dtype.type(_ZERO_TOL) if star else None
+    never = None if ever_observed is None \
+        else np.logical_not(ever_observed)
+    return zero, never
+
+
+def _affine_embedding_into(x, slope, intercept, zero, never, missing, out):
+    """``x ⊙ slope + intercept`` over a trailing embedding axis, then the
+    routing as masked copies: ones at ``zero``, then the ``missing`` row
+    of every never-observed ``(b, c)`` at every step."""
     np.multiply(x[..., None], slope, out=out)
-    out += intercept
+    if intercept is not None:
+        out += intercept
+    if zero is not None:
+        out[zero] = 1.0
+    if never is not None:
+        rows, cols = np.nonzero(never)
+        out[rows, :, cols] = missing[cols, None]
     return out
 
 
-def _bi_embedding_sample(rng):
+def _affine_embedding_sample(rng):
     channels, size = 3, 2
+    x = rng.normal(size=(2, 3, channels))
+    ever = np.array([[True, False, True], [True, True, False]])
+    # The star sample's zeros are constants: a finite difference on
+    # them would step off the routed set.
+    zeros = x.copy()
+    zeros[0, 1, 0] = zeros[1, 2, 2] = zeros[1, 0, 1] = 0.0
 
-    def arrays(batch, steps):
-        return (rng.normal(size=(batch, steps, channels)),
-                rng.normal(size=(channels, size)),
-                rng.normal(size=(channels, size)))
+    def table():
+        return rng.normal(size=(channels, size))
 
     return [
-        OpSample(lambda x, lo, hi: _sqsum(bi_embedding(x, lo, hi, -3.0, 3.0)),
-                 *arrays(2, 3)),
-        OpSample(lambda x, lo, hi: _sqsum(bi_embedding(x, lo, hi, -1.0, 2.0)),
-                 *arrays(1, 1)),
+        OpSample(lambda x, s, i: _sqsum(affine_embedding(x, s, i)),
+                 x, table(), table()),
+        OpSample(lambda x, s, m: _sqsum(affine_embedding(x, s, None, ever,
+                                                         m)),
+                 x, table(), table()),
+        OpSample(lambda s, i, m: _sqsum(affine_embedding(
+            zeros, s, i, ever, m, star=True)), table(), table(), table()),
     ]
 
 
-@differentiable(_bi_embedding_sample)
-def bi_embedding(x, table_lower, table_upper, lower, upper):
-    """The bi-directional embedding of paper Eq. 2, one graph node.
+@differentiable(_affine_embedding_sample)
+def affine_embedding(x, slope, intercept=None, ever_observed=None,
+                     missing=None, star=False):
+    """ELDA-Net's value embedding with its missing-value routing, one node.
 
-    ``x`` is ``(..., C)``; ``table_lower`` / ``table_upper`` are the
-    ``(C, e)`` anchor tables ``V^a`` / ``V^b`` of the bounds ``lower`` <
-    ``upper``.  Returns ``(..., C, e)``:
+    ``x`` is ``(..., C)``; ``slope`` and ``intercept`` are ``(C, e)``
+    (``None`` is a zero intercept).  Returns ``(..., C, e)``,
 
-        e_i = (V_i^a (x_i - a) + V_i^b (b - x_i)) / (b - a)
-            = x_i (V_i^a - V_i^b) / (b - a) + (b V_i^b - a V_i^a) / (b - a)
+        e_i = x_i slope_i + intercept_i,
 
-    The affine form computes a ``(C, e)`` slope and intercept from the
-    tables, then one multiply-add over the embedded slab.  The backward
-    forms the input gradient and the slope gradient with one batched
-    GEMM over ``C`` each.
+    which is paper Eq. 2 for the bi-directional tables and the FM
+    embedding ``x_i V_i`` with a zero intercept
+    (:mod:`repro.core.embedding`), with two routings written over it as
+    masked copies:
+
+    * ``star``: an exact standardized zero (``|x_i| < 1e-9``) embeds as
+      all ones;
+    * ``ever_observed`` ``(B, C)``, with ``x`` ``(B, T, C)``: a false
+      entry embeds feature ``i`` of admission ``b`` as the ``missing``
+      row ``V_i^m`` at every step, over ``star``.
+
+    Both masks are computed here from ``x`` and ``ever_observed``, so a
+    capture replay recomputes them per batch.  The backward zeroes the
+    routed entries of ``dx`` and of the ``x`` rows that feed the slope
+    gradient.  The slope, intercept and missing-table gradients are one
+    batched GEMM over ``C``: the masked ``x``, the keep mask and the
+    never mask as rows against a feature-major view of the incoming
+    gradient, so no ``(..., C, e)`` temporary exists.
     """
-    x = as_tensor(x)
-    table_lower, table_upper = as_tensor(table_lower), as_tensor(table_upper)
-    lower, upper = float(lower), float(upper)
-    if not upper > lower:
-        raise ValueError("bi_embedding needs upper > lower")
+    x, slope = as_tensor(x), as_tensor(slope)
+    intercept = None if intercept is None else as_tensor(intercept)
+    routed = ever_observed is not None
+    if routed:
+        ever_observed = np.asarray(ever_observed.data if isinstance(
+            ever_observed, Tensor) else ever_observed)
+    missing = as_tensor(missing) if routed else None
+    tables = [t for t in (slope, intercept, missing) if t is not None]
     channels = x.shape[-1]
-    if table_lower.shape != table_upper.shape \
-            or table_lower.ndim != 2 or table_lower.shape[0] != channels:
+    if slope.ndim != 2 or slope.shape[0] != channels \
+            or any(t.shape != slope.shape for t in tables) \
+            or (routed and (x.ndim != 3 or ever_observed.shape
+                            != (x.shape[0], channels))):
         raise ValueError(
-            f"bi_embedding shapes do not line up: x {x.shape}, tables "
-            f"{table_lower.shape} and {table_upper.shape}")
-    size = table_lower.shape[1]
-    slope = np.empty_like(table_lower.data)
-    intercept = np.empty_like(slope)
-    _bi_embedding_affine(table_lower.data, table_upper.data, lower, upper,
-                         slope, intercept)
-    out_data = _bi_embedding_into(
-        x.data, slope, intercept,
-        np.empty(x.shape + (size,), dtype=slope.dtype))
+            f"affine_embedding shapes do not line up: x {x.shape}, "
+            f"tables {[t.shape for t in tables]}, ever_observed "
+            f"{ever_observed.shape if routed else None}")
+    size = slope.shape[1]
+    zero, never = _embedding_masks(x.data, ever_observed, star)
+    out_data = _affine_embedding_into(
+        x.data, slope.data, None if intercept is None else intercept.data,
+        zero, never, None if missing is None else missing.data,
+        np.empty(x.shape + (size,), dtype=slope.data.dtype))
+    parents = (x,) + tuple(tables)
 
     def backward(grad):
+        dt = grad.dtype
         # Feature-major (C, N, e) view: each gradient is one GEMM over C.
         g_cm = grad.reshape(-1, channels, size).transpose(1, 0, 2)
+        # The routing masks, feature-major (C, N) like g_cm.
+        never_cm = None if never is None else np.broadcast_to(
+            never[:, None, :], x.shape).reshape(-1, channels).T
+        zero_cm = None if zero is None else zero.reshape(-1, channels).T
+        hit = zero_cm if never_cm is None else never_cm if zero_cm is None \
+            else zero_cm | never_cm
+        keep = None if hit is None else ~hit
         if x.requires_grad:
-            dx = np.matmul(g_cm, slope[:, :, None])[..., 0]     # (C, N)
+            dx = np.matmul(g_cm, slope.data[:, :, None])[..., 0]
+            if keep is not None:
+                dx *= keep
             x._accumulate(np.ascontiguousarray(dx.T).reshape(x.shape),
                           owned=True)
-        if not (table_lower.requires_grad or table_upper.requires_grad):
-            return
-        x_rows = x.data.reshape(-1, channels).T[:, None, :]     # (C, 1, N)
-        d_slope = np.matmul(x_rows, g_cm)[:, 0]
-        d_intercept = grad.reshape(-1, channels, size).sum(axis=0)
-        span = upper - lower
-        if table_lower.requires_grad:
-            d_lower = d_intercept * -lower
-            d_lower += d_slope
-            d_lower /= span
-            table_lower._accumulate(d_lower, owned=True)
-        if table_upper.requires_grad:
-            d_upper = d_intercept * upper
-            d_upper -= d_slope
-            d_upper /= span
-            table_upper._accumulate(d_upper, owned=True)
+        rows = []
+        if slope.requires_grad:
+            x_cm = x.data.reshape(-1, channels).T
+            rows.append((slope, x_cm if keep is None
+                         else np.where(keep, x_cm, 0.0)))
+        if intercept is not None and intercept.requires_grad:
+            rows.append((intercept, np.ones(g_cm.shape[:2], dtype=dt)
+                         if keep is None else keep.astype(dt)))
+        if missing is not None and missing.requires_grad:
+            rows.append((missing, never_cm.astype(dt)))
+        if rows:
+            sums = np.matmul(np.stack([r for _, r in rows], axis=1), g_cm)
+            for k, (table, _) in enumerate(rows):
+                table._accumulate(np.ascontiguousarray(sums[:, k]),
+                                  owned=True)
 
-    return Tensor._make(out_data, (x, table_lower, table_upper), backward)
+    return Tensor._make(out_data, parents, backward)
 
 
 def _uniform_grid(channels, dtype):
@@ -1956,6 +1956,51 @@ def _interaction_enrich(embedded, grid, compress, summed, relu_e, relu_ctx,
     return out
 
 
+def _interaction_slabs(rows, channels, size, width, dtype, attend):
+    """``(grid, summed, partial)`` for ``rows`` lead rows: the forward's
+    slabs that the backward reads (``grid`` is ``None`` without
+    attention)."""
+    grid = np.empty((rows, channels, channels), dtype=dtype) \
+        if attend else None
+    return (grid, np.empty((rows, channels, size), dtype=dtype),
+            np.empty((rows, channels, width), dtype=dtype))
+
+
+def _interaction_forward(embedded, weight, compress, slabs, out):
+    """Eqs. 3-6 over ``(N, C, e)`` rows into ``out`` ``(N, C, d)``, one
+    :data:`_INTERACTION_TILE`-row tile at a time.
+
+    ``slabs`` (from :func:`_interaction_slabs`) either span all ``N``
+    rows, and are filled tile by tile and kept for the backward, or
+    span one tile, and are reused by every tile.  The two rectified
+    halves of ``[e; c]`` always live in one tile's scratch.  ``weight``
+    ``None`` pools with the uniform grid.  Every step is
+    row-independent, so the tiling changes no bit of the output.
+    """
+    rows, channels, size = embedded.shape
+    kept = len(slabs[1]) == rows
+    relu_e, relu_ctx = (
+        np.empty((min(rows, _INTERACTION_TILE), channels, size),
+                 dtype=embedded.dtype) for _ in range(2))
+    uniform = None if weight is not None \
+        else _uniform_grid(channels, embedded.dtype)
+    for start in range(0, rows, _INTERACTION_TILE):
+        stop = min(start + _INTERACTION_TILE, rows)
+        n = stop - start
+        grid, summed, partial = (
+            None if s is None else s[start:stop] if kept else s[:n]
+            for s in slabs)
+        e = embedded[start:stop]
+        if weight is None:
+            grid = uniform
+        else:
+            # relu_e doubles as the keyed slab, which only the logits read.
+            _interaction_grid(e, weight, relu_e[:n], grid)
+        _interaction_enrich(e, grid, compress, summed, relu_e[:n],
+                            relu_ctx[:n], partial, out[start:stop])
+    return out
+
+
 def _feature_interaction_sample(rng):
     channels, size, width = 4, 3, 2
 
@@ -1986,21 +2031,30 @@ def feature_interaction(embedded, attn_weight, compress):
     ``None`` for the attention weight pools the interactions with
     uniform weights instead (the attention ablation).
 
-    The forward keeps its slabs for the backward: the transposed α
-    ``grid``, ``summed``, the two rectified halves of ``[e; c]`` and the
-    context half ``partial`` of the compress (the keyed slab is
-    transient and recomputed).  The backward allocates one
-    ``(..., C, C)`` slab, the attention gradient, and runs the softmax
-    backward in place on it.  Its row term ``Σ_j α_ij dα_ij`` equals
-    ``dout_i · (relu(c_i) @ P[e:])``, a dot over ``d`` against the saved
+    Both directions walk the flattened lead axis in tiles of
+    :data:`_INTERACTION_TILE` rows, so each tile's grid and slabs stay
+    in cache.  A forward that records a graph fills the slabs the
+    backward reads tile by tile and keeps them: the transposed α
+    ``grid``, ``summed`` and the context half ``partial`` of the
+    compress.  The keyed slab and the two rectified halves of
+    ``[e; c]`` live in one tile's scratch.  A forward without a graph
+    (``no_grad``, or no input that needs a gradient) keeps nothing but
+    its output.  The backward runs each tile in one reused set of tile
+    scratch: it rebuilds the tile's rectified halves from ``e`` and the
+    kept ``summed``, and runs the softmax backward in place on a
+    ``(tile, C, C)`` attention gradient.  Beyond that scratch it
+    allocates only the input gradient and the small parameter
+    gradients; the ``compress`` and ``attn_weight`` gradients are sums
+    over tiles.  Its row term ``Σ_j α_ij dα_ij`` equals
+    ``dout_i · (relu(c_i) @ P[e:])``, a dot over ``d`` against the kept
     ``partial`` instead of over ``C``.
     """
     embedded, compress = as_tensor(embedded), as_tensor(compress)
     attend = attn_weight is not None
     if attend:
         attn_weight = as_tensor(attn_weight)
-    e = embedded.data
-    *lead, channels, size = e.shape
+    e3 = embedded.data
+    *lead, channels, size = e3.shape
     lead = tuple(lead)
     width = compress.shape[-1]
     if channels < 2 or compress.shape != (2 * size, width) or (
@@ -2010,71 +2064,99 @@ def feature_interaction(embedded, attn_weight, compress):
             f"{embedded.shape} (needs at least two features), attention "
             f"{attn_weight.shape if attend else None}, compress "
             f"{compress.shape}")
-    dt = e.dtype
-    summed, relu_e, relu_ctx = (np.empty(e.shape, dtype=dt)
-                                 for _ in range(3))
-    if attend:
-        # relu_e doubles as the keyed slab, which only the logits read.
-        grid = _interaction_grid(
-            e, attn_weight.data, relu_e,
-            np.empty(lead + (channels, channels), dtype=dt))
-    else:
-        grid = _uniform_grid(channels, dt)
-    partial = np.empty(lead + (channels, width), dtype=dt)
-    out4 = _interaction_enrich(e, grid, compress.data, summed, relu_e,
-                               relu_ctx, partial, np.empty_like(partial))
-    out_data = out4.reshape(lead + (channels * width,))
+    dt = e3.dtype
+    e3 = e3.reshape(-1, channels, size)
+    rows = len(e3)
     params = (embedded, attn_weight, compress) if attend \
         else (embedded, compress)
+    graph = is_grad_enabled() and any(t.requires_grad for t in params)
+    slabs = _interaction_slabs(
+        rows if graph else min(rows, _INTERACTION_TILE), channels, size,
+        width, dt, attend)
+    out3 = _interaction_forward(e3, attn_weight.data if attend else None,
+                                compress.data, slabs,
+                                np.empty((rows, channels, width), dtype=dt))
+    out_data = out3.reshape(lead + (channels * width,))
+    if not graph:
+        return Tensor._make(out_data, params, None)
+    grid, summed, partial = slabs
+    if not attend:
+        grid = _uniform_grid(channels, dt)
 
     def backward(grad):
         p = compress.data
-        g2 = grad.reshape(-1, width)
+        g3 = grad.reshape(rows, channels, width)
+        chain = any(t.requires_grad for t in params[:-1])
+        tile = min(rows, _INTERACTION_TILE)
+        mask = np.empty((tile, channels, size), dtype=bool)
+        relu_e, relu_ctx, d_ctx, d_s = (
+            np.empty((tile, channels, size), dtype=dt) for _ in range(4))
         if compress.requires_grad:
-            dp = np.empty_like(p)
-            np.matmul(relu_e.reshape(-1, size).T, g2, out=dp[:size])
-            np.matmul(relu_ctx.reshape(-1, size).T, g2, out=dp[size:])
-            compress._accumulate(dp, owned=True)
-        if not any(t.requires_grad for t in params[:-1]):
-            return
-        # Eq. 6 through the split compress and its two rectifiers.
-        mask = np.greater(e, 0.0)
-        d_e = np.matmul(g2, p[:size].T).reshape(e.shape)
-        d_e *= mask
-        d_ctx = np.matmul(g2, p[size:].T).reshape(e.shape)
-        d_ctx *= np.greater(relu_ctx, 0.0, out=mask)
-        # c_i = e_i ⊙ s_i, then s_i = Σ_j α_ij e_j = (grid^T @ E)_i.
-        d_s = np.multiply(d_ctx, e)
-        scratch = d_ctx
-        scratch *= summed
-        d_e += scratch
-        np.matmul(grid, d_s, out=scratch)
-        d_e += scratch
-        if attend:
+            dp = np.zeros_like(p)
+        if chain:
+            d_e = np.empty_like(e3)
+        if chain and attend:
+            w = attn_weight.data
+            d_grid = np.empty((tile, channels, channels), dtype=dt)
+            prod = np.empty((tile, channels, width), dtype=dt)
+            ones = np.ones(max(width, tile), dtype=dt)
+            d_w = np.zeros(channels * size, dtype=dt)
+        for start in range(0, rows, _INTERACTION_TILE):
+            stop = min(start + _INTERACTION_TILE, rows)
+            n, t = stop - start, slice(start, stop)
+            e, g = e3[t], g3[t]
+            mk, re, rc, dc, ds = (a[:n] for a in (mask, relu_e, relu_ctx,
+                                                  d_ctx, d_s))
+            # The two rectified halves of [e; c], rebuilt from the kept
+            # summed slab: c_i = e_i ⊙ s_i.
+            np.maximum(e, 0.0, out=re)
+            np.multiply(e, summed[t], out=rc)
+            np.maximum(rc, 0.0, out=rc)
+            if compress.requires_grad:
+                g2 = g.reshape(-1, width)
+                dp[:size] += np.matmul(re.reshape(-1, size).T, g2)
+                dp[size:] += np.matmul(rc.reshape(-1, size).T, g2)
+            if not chain:
+                continue
+            # Eq. 6 through the split compress and its two rectifiers.
+            de = d_e[t]
+            np.matmul(g, p[:size].T, out=de)
+            de *= np.greater(e, 0.0, out=mk)
+            np.matmul(g, p[size:].T, out=dc)
+            dc *= np.greater(rc, 0.0, out=mk)
+            # c_i = e_i ⊙ s_i, then s_i = Σ_j α_ij e_j = (grid^T @ E)_i;
+            # dc is scratch from here on.
+            np.multiply(dc, e, out=ds)
+            dc *= summed[t]
+            de += dc
+            np.matmul(grid if not attend else grid[t], ds, out=dc)
+            de += dc
+            if not attend:
+                continue
             # d_grid[j, i] = dα_ij = e_j · ds_i, then the softmax backward
             # in place: dα'_ij = α_ij (dα_ij - Σ_k α_ik dα_ik).
             # Sums run as GEMVs against ones, not as short-axis reductions.
-            d_grid = np.matmul(e, d_s.swapaxes(-1, -2))
-            row = np.multiply(grad.reshape(partial.shape), partial)
-            row = np.matmul(row.reshape(-1, width), np.ones(width, dtype=dt))
-            d_grid -= row.reshape(lead + (1, channels))
-            d_grid *= grid
-            # α'_ij = k_i · e_j with k_i = e_i ⊙ W_i, recomputed
-            # into the spent d_s slab.
-            w = attn_weight.data
-            np.matmul(d_grid, np.multiply(e, w, out=d_s), out=scratch)
-            d_e += scratch
-            np.matmul(d_grid.swapaxes(-1, -2), e, out=scratch)   # dk_i
+            dg = d_grid[:n]
+            np.matmul(e, ds.swapaxes(-1, -2), out=dg)
+            row = np.matmul(np.multiply(g, partial[t], out=prod[:n])
+                            .reshape(-1, width), ones[:width])
+            dg -= row.reshape(n, 1, channels)
+            dg *= grid[t]
+            # α'_ij = k_i · e_j with k_i = e_i ⊙ W_i, recomputed into ds.
+            np.matmul(dg, np.multiply(e, w, out=ds), out=dc)
+            de += dc
+            np.matmul(dg.swapaxes(-1, -2), e, out=dc)            # dk_i
             if attn_weight.requires_grad:
-                flat = np.multiply(scratch, e, out=d_s).reshape(
-                    -1, channels * size)
-                attn_weight._accumulate(np.matmul(
-                    np.ones(len(flat), dtype=dt), flat).reshape(w.shape),
-                    owned=True)
-            scratch *= w
-            d_e += scratch
+                d_w += np.matmul(ones[:n], np.multiply(dc, e, out=ds)
+                                 .reshape(n, channels * size))
+            dc *= w
+            de += dc
+        if compress.requires_grad:
+            compress._accumulate(dp, owned=True)
+        if chain and attend and attn_weight.requires_grad:
+            attn_weight._accumulate(d_w.reshape(w.shape), owned=True)
         if embedded.requires_grad:
-            embedded._accumulate(d_e, owned=True)
+            embedded._accumulate(d_e.reshape(embedded.shape), owned=True)
 
     return Tensor._make(out_data, params, backward)
 

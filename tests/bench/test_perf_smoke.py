@@ -77,7 +77,7 @@ def test_scan_model_throughput_above_floor(floor_spec, model_name, dtype):
     it had over the step-unrolled loops it replaced (their float32
     throughput sits under these floors — see BENCH_9.json and the v6
     note in the floor file).  ELDA-Net's lane (v7) guards its fused
-    feature path (``ops.bi_embedding`` / ``ops.feature_interaction``)
+    feature path (``ops.affine_embedding`` / ``ops.feature_interaction``)
     on top of the GRU scan."""
     spec = floor_spec["benchmark"]
     result = benchmark_training(

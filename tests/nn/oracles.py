@@ -8,9 +8,9 @@ are held to these compositions by tolerance
 nothing under ``src/`` imports them (tests/test_no_test_imports.py
 guards that).
 
-Ragged ``lengths`` freeze exhausted rows with a per-step ``where``: a
-row past its length carries its state unchanged, which is the scans'
-frozen-row semantics.
+Ragged ``lengths`` freeze exhausted rows with a per-step 0/1 blend
+(:func:`_select`): a row past its length carries its state unchanged,
+which is the scans' frozen-row semantics.
 """
 
 import numpy as np
@@ -27,6 +27,14 @@ def _keep_masks(lengths, steps, batch):
         return None
     lengths = np.asarray(lengths, dtype=np.int64).reshape(batch, 1)
     return [lengths > t for t in range(steps)]
+
+
+def _select(condition, a, b):
+    """``a`` where the constant boolean ``condition`` holds, else ``b``,
+    as the blend ``a ⊙ m + b ⊙ (1 - m)``: for finite operands the value
+    and both gradients of an elementwise select."""
+    chosen = np.asarray(condition, dtype=np.float64)
+    return a * Tensor(chosen) + b * Tensor(1.0 - chosen)
 
 
 def _stack_steps(states):
@@ -46,7 +54,7 @@ def gru_reference(layer, x, h0=None, lengths=None):
     outputs = []
     for t in range(steps):
         h_new = layer.cell(x[:, t], h)
-        h = h_new if keep is None else ops.where(keep[t], h_new, h)
+        h = h_new if keep is None else _select(keep[t], h_new, h)
         outputs.append(h)
     if layer.return_sequences:
         return _stack_steps(outputs)
@@ -137,14 +145,41 @@ def softmax_cross_entropy_reference(logits, targets):
 
 
 def bi_embedding_reference(x, table_lower, table_upper, lower, upper):
-    """Eager oracle for :func:`repro.nn.ops.bi_embedding`: paper Eq. 2
-    as ``BiDirectionalEmbedding`` composed it from five ops.
+    """Paper Eq. 2 as ``BiDirectionalEmbedding`` composed it from five
+    ops: the oracle for :func:`repro.nn.ops.affine_embedding` with the
+    bi-directional slope and intercept.
     """
     span = upper - lower
     x_col = x.reshape(*x.shape, 1)
     toward_upper = (x_col - lower) * table_lower
     toward_lower = (upper - x_col) * table_upper
     return (toward_upper + toward_lower) / span
+
+
+def fm_embedding_reference(x, table):
+    """The FM value embedding ``e_i = x_i V_i`` as ``FMEmbedding``
+    composed it: one broadcast multiply."""
+    return x.reshape(*x.shape, 1) * table
+
+
+def embedding_routing_reference(embedded, x, ever_observed, missing,
+                                star=False):
+    """The routings :func:`repro.nn.ops.affine_embedding` folds in, as
+    the embedding modules composed them over the ``(B, T, C, e)`` slab:
+    with ``star``, all ones where ``|x| < 1e-9``; then, for each false
+    entry of ``ever_observed`` ``(B, C)``, the ``missing`` row at every
+    step.  The masks are constants, as the modules' indicators were.
+    """
+    if star:
+        zero = np.abs(x.data) < x.data.dtype.type(1e-9)
+        embedded = _select(zero[..., None], Tensor(np.ones(embedded.shape)),
+                           embedded)
+    if ever_observed is not None:
+        never = ~np.asarray(ever_observed, dtype=bool)
+        batch, channels = never.shape
+        embedded = _select(never.reshape(batch, 1, channels, 1),
+                           missing.reshape(1, 1, *missing.shape), embedded)
+    return embedded
 
 
 def feature_attention_reference(embedded, attn_weight, logit_shift=None):

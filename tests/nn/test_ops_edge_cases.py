@@ -75,28 +75,6 @@ class TestNumericalStability:
         assert np.isfinite(x.grad).all()
 
 
-class TestWhere:
-    def test_forward_select(self):
-        cond = np.array([True, False])
-        out = ops.where(cond, nn.Tensor([1.0, 1.0]), nn.Tensor([9.0, 9.0]))
-        assert np.array_equal(out.data, [1.0, 9.0])
-
-    def test_gradient_routes_by_condition(self):
-        cond = np.array([True, False])
-        a = nn.Tensor([1.0, 1.0], requires_grad=True)
-        b = nn.Tensor([9.0, 9.0], requires_grad=True)
-        ops.where(cond, a, b).sum().backward()
-        assert np.array_equal(a.grad, [1.0, 0.0])
-        assert np.array_equal(b.grad, [0.0, 1.0])
-
-    def test_broadcast_condition(self):
-        cond = np.array([[True], [False]])
-        a = nn.Tensor(np.ones((2, 3)), requires_grad=True)
-        b = nn.Tensor(np.zeros((2, 3)))
-        out = ops.where(np.broadcast_to(cond, (2, 3)), a, b)
-        assert out.data.sum() == 3.0
-
-
 class TestKinks:
     """The gradient each piecewise op takes exactly at its kink."""
 
@@ -112,12 +90,3 @@ class TestKinks:
         ops.relu(x).sum().backward()
         np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0, 0.0])
 
-    def test_abs_lt_excludes_the_threshold_and_carries_no_gradient(self):
-        x = nn.Tensor(np.array([0.5, -0.5, 0.49, -0.2, 3.0]),
-                      requires_grad=True)
-        indicator = ops.abs_lt(x, 0.5)
-        np.testing.assert_array_equal(indicator.data,
-                                      [0.0, 0.0, 1.0, 1.0, 0.0])
-        assert not indicator.requires_grad
-        ops.mul(x, indicator).sum().backward()
-        np.testing.assert_array_equal(x.grad, indicator.data)

@@ -43,11 +43,6 @@ class TestElementwiseGrads:
         assert_gradcheck(lambda a: ops.clip(a, -0.5, 0.5).sum(),
                          _rand(8) * 2.0)
 
-    def test_where(self):
-        cond = RNG.random(6) > 0.5
-        assert_gradcheck(lambda a, b: ops.where(cond, a, b).sum(),
-                         _rand(6), _rand(6))
-
 
 class TestTranscendentalGrads:
     def test_exp(self):
