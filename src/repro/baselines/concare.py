@@ -53,14 +53,15 @@ class PerFeatureGRU(Module):
 
     # -- streaming inference (serve tier) ------------------------------
     def initial_state(self, batch_size):
-        """Zero stacked state ``(C, B, H)`` for :meth:`stream_step`."""
+        """Zero gate-major stacked state ``(C, H, B)`` for
+        :meth:`stream_step`."""
         return nn.Tensor(np.zeros(
-            (self.num_features, batch_size, self.hidden_size)))
+            (self.num_features, self.hidden_size, batch_size)))
 
     def stream_step(self, h, x_t):
         """One stacked per-feature GRU step for one timestep slice.
 
-        ``x_t`` is a ``(B, C)`` tensor; returns the new ``(C, B, H)``
+        ``x_t`` is a ``(B, C)`` tensor; returns the new ``(C, H, B)``
         state, bit-identical to the state :meth:`forward` reaches after
         the same prefix.
         """
@@ -105,7 +106,7 @@ class ConCare(Module, InferenceMixin):
         length (it attends over features, not time).
         """
         h = self.encoder.stream_step(state["h"], nn.Tensor(values_t))
-        summaries = h.transpose((1, 0, 2))                  # (B, C, H)
+        summaries = h.transpose((2, 0, 1))                  # (B, C, H)
         attended = self.attention(summaries)
         flat = attended.reshape(attended.shape[0],
                                 self.num_features * self.feature_hidden)

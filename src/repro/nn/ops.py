@@ -840,6 +840,9 @@ def _gru_gates_into(gt, gh, h_prev, g_act, h_new, tmp):
     ``z * h_prev + (1 - z) * n`` into ``h_new``; ``tmp`` is scratch of
     ``h_prev``'s shape.  Scan and step kernels run this one ufunc
     sequence, so a streamed step reproduces its scan step bit for bit.
+    Callers may pass swapped views: :func:`per_feature_gru_scan` keeps
+    its gates gate-major ``(..., 3H, B)`` and passes ``.swapaxes(-1,
+    -2)`` views, which the ufuncs walk in memory order.
     """
     hidden = h_prev.shape[-1]
     h2 = 2 * hidden
@@ -1209,8 +1212,31 @@ def gru_scan(x, h0, w_ih, w_hh, b_ih, b_hh, lengths=None,
     return Tensor._make(out_data, (x, h0, w_ih, w_hh, b_ih, b_hh), backward)
 
 
+def _gates_last(*arrays):
+    """Gate-major ``(..., 3H, B)`` arrays viewed as ``(..., B, 3H)``, the
+    layout the shared gate tails take; each gate block stays one
+    contiguous run of ``H * B`` elements for the ufuncs to walk."""
+    return [a.swapaxes(-1, -2) for a in arrays]
+
+
+def _per_feature_step_into(x_t, h_prev, w_col, w_hh_t, b_col, gt, gh, h_new,
+                           tmp):
+    """One gate-major step of :func:`per_feature_gru_scan`, shared with
+    :func:`per_feature_gru_scan_step`: ``x_t`` is ``(C, B)``, the states
+    ``(C, H, B)``, ``gt``/``gh`` ``(C, 3H, B)`` scratch.  The projection
+    ``x_t * w_ih + bias`` is elementwise and the recurrent one is one
+    batched ``(C, 3H, H) @ (C, H, B)`` GEMM on the same operand views in
+    scan and step, so both reach the same state bit for bit.  ``gh`` is
+    left holding the hidden-side pre-activations; returns ``h_new``."""
+    np.multiply(x_t[:, None], w_col, out=gt)
+    gt += b_col
+    np.matmul(w_hh_t, h_prev, out=gh)
+    _gru_gates_into(*_gates_last(gt, gh, h_prev, gt, h_new, tmp))
+    return h_new
+
+
 def _per_feature_gru_scan_sample(rng):
-    channels, hidden = 3, 2
+    channels, hidden = 3, 4
 
     def arrays(batch, steps):
         return (rng.normal(size=(batch, steps, channels)),
@@ -1235,15 +1261,20 @@ def per_feature_gru_scan(values, w_ih, w_hh, bias):
     ``(3H,)`` on the input side, from a zero initial state.  Returns the
     final states as ``(batch, C, H)``.
 
-    The :func:`gru_scan` blueprint with the ``C`` recurrences stacked on
-    a leading axis: the input projection of every step and channel is
-    one broadcast outer product before the loop (with one input per GRU
-    it is elementwise, so it equals the single-step projection of
-    :func:`per_feature_gru_scan_step` exactly), each step runs one
-    batched ``(C, B, H) @ (C, H, 3H)`` GEMM plus the shared gate tail
-    (whose activations overwrite the step's projection slab in place),
-    and the hand-derived backward replays the loop in reverse, then
-    forms each weight gradient with one batched GEMM over ``C``.
+    The ``C`` recurrences run stacked in a gate-major layout: a state is
+    ``(C, H, B)`` and a step's gates ``(C, 3H, B)``, so each step is one
+    batched ``(C, 3H, H) @ (C, H, B)`` GEMM plus the shared gate tail on
+    swapped views, whose every gate block is one contiguous run of
+    ``H * B`` elements (:func:`_per_feature_step_into`, which the stream
+    step runs too).  With a graph the time-major projection slab
+    ``(T, C, 3H, B)`` (overwritten by the activations) and the state
+    stack ``(T + 1, C, H, B)`` are kept for the backward; without one
+    the loop keeps two states and one step's scratch.  The hand-derived
+    backward replays the loop in reverse with one step's gate-gradient
+    scratch, accumulating ``dW_hh += h_prev @ dgh_t^T``, the input weight
+    and bias gradients as one GEMM of ``dgx_t`` against the
+    ``[x_t, 1]`` columns, and the input gradient ``w_ih @ dgx_t`` step
+    by step.
     """
     values, w_ih = as_tensor(values), as_tensor(w_ih)
     w_hh, bias = as_tensor(w_hh), as_tensor(bias)
@@ -1263,67 +1294,70 @@ def per_feature_gru_scan(values, w_ih, w_hh, bias):
             f"{values.shape}, w_ih {w_ih.shape}, w_hh {w_hh.shape}, "
             f"bias {bias.shape}")
 
-    # Feature-major (C, T, B, .) planes: each step is the slice [:, t],
-    # and the backward's weight GEMMs batch over C on free reshapes.
-    x_cm = values.data.transpose(2, 1, 0)
-    gx = np.multiply(x_cm[..., None], w_ih.data[:, None])
-    gx += bias.data[:, None, None]
-    dt = gx.dtype
-
     needs_grad = is_grad_enabled() and any(
         p.requires_grad for p in (values, w_ih, w_hh, bias))
-    h_stack = np.empty((channels, steps + 1, batch, hidden), dtype=dt)
-    h_stack[:, 0] = 0.0
+    dt = np.result_type(values.data, w_ih.data)
+    x_tm = values.data.transpose(1, 2, 0)                # (T, C, B) view
+    w_col = w_ih.data.transpose(0, 2, 1)                 # (C, 3H, 1)
+    w_hh_t = w_hh.data.transpose(0, 2, 1)                # (C, 3H, H)
+    b_col = bias.data[..., None]
+    # The graph keeps every step's activations and state; inference
+    # cycles one projection slot and two state slots.
+    kept = steps + 1 if needs_grad else 2
+    gx = np.empty((kept - 1, channels, h3, batch), dtype=dt)
+    h_stack = np.empty((kept, channels, hidden, batch), dtype=dt)
+    h_stack[0] = 0.0
     if needs_grad:
-        nhs = np.empty((channels, steps, batch, hidden), dtype=dt)
-    w_hh_d = w_hh.data
-    gh = np.empty((channels, batch, h3), dtype=dt)
-    tmp = np.empty((channels, batch, hidden), dtype=dt)
+        nhs = np.empty((steps, channels, hidden, batch), dtype=dt)
+    gh = np.empty((channels, h3, batch), dtype=dt)
+    tmp = np.empty((channels, hidden, batch), dtype=dt)
     for t in range(steps):
-        h_prev = h_stack[:, t]
-        np.matmul(h_prev, w_hh_d, out=gh)
+        _per_feature_step_into(x_tm[t], h_stack[t % kept], w_col, w_hh_t,
+                               b_col, gx[t % len(gx)], gh,
+                               h_stack[(t + 1) % kept], tmp)
         if needs_grad:
-            nhs[:, t] = gh[..., 2 * hidden:]
-        gt = gx[:, t]
-        _gru_gates_into(gt, gh, h_prev, gt, h_stack[:, t + 1], tmp)
-    # A contiguous (C, B, H) state, viewed as (B, C, H): the layout the
+            nhs[t] = gh[:, 2 * hidden:]
+    # A contiguous (C, H, B) state, viewed as (B, C, H): the layout the
     # streaming state has, so downstream ops see the same strides.
-    out_data = np.ascontiguousarray(h_stack[:, steps]).transpose(1, 0, 2)
+    out_data = h_stack[steps % kept].copy().transpose(2, 0, 1)
 
     def backward(grad):
-        dh = grad.transpose(1, 0, 2).copy()              # (C, B, H)
-        dgx = np.empty((channels, steps, batch, h3), dtype=dt)
+        dh = np.ascontiguousarray(grad.transpose(1, 2, 0))   # (C, H, B)
+        dgx = np.empty((channels, h3, batch), dtype=dt)
         dgh = np.empty_like(dgx)
-        w_hh_t = w_hh_d.transpose(0, 2, 1)
         om = np.empty_like(dh)
         carry = np.empty_like(dh)
+        x_one = np.ones((steps, channels, batch, 2), dtype=dt)
+        x_one[..., 0] = x_tm                              # [x_t, 1] columns
+        d_ib = np.zeros((channels, h3, 2), dtype=dt)
+        ib_t = np.empty_like(d_ib)
+        d_hh = np.zeros((channels, hidden, h3), dtype=dt)
+        hh_t = np.empty_like(d_hh)
+        if values.requires_grad:
+            dx = np.empty((steps, channels, 1, batch), dtype=dt)
         for t in range(steps - 1, -1, -1):
-            g_act = gx[:, t]
-            dgh_t = dgh[:, t]
-            _gru_gates_backward_into(dh, g_act, nhs[:, t], h_stack[:, t],
-                                     dgx[:, t], dgh_t, om)
-            if t:
-                np.matmul(dgh_t, w_hh_t, out=carry)
-                np.multiply(dh, g_act[..., :hidden], out=om)
+            g_act = gx[t]
+            _gru_gates_backward_into(*_gates_last(
+                dh, g_act, nhs[t], h_stack[t], dgx, dgh, om))
+            d_ib += np.matmul(dgx, x_one[t], out=ib_t)
+            if values.requires_grad:
+                np.matmul(w_ih.data, dgx, out=dx[t])
+            if t:                          # h_0 = 0: no weight term, no carry
+                d_hh += np.matmul(h_stack[t], dgh.swapaxes(1, 2), out=hh_t)
+                np.matmul(w_hh.data, dgh, out=carry)
+                np.multiply(dh, g_act[:, :hidden], out=om)
                 carry += om
                 dh, carry = carry, dh
-        dgx_2d = dgx.reshape(channels, steps * batch, h3)
         if values.requires_grad:
-            dx = np.matmul(dgx_2d, w_ih.data.transpose(0, 2, 1))
             values._accumulate(np.ascontiguousarray(
-                dx.reshape(channels, steps, batch).transpose(2, 1, 0)),
-                owned=True)
+                dx[:, :, 0].transpose(2, 0, 1)), owned=True)
         if w_ih.requires_grad:
-            x_rows = x_cm.reshape(channels, 1, steps * batch)
-            w_ih._accumulate(np.matmul(x_rows, dgx_2d), owned=True)
+            w_ih._accumulate(np.ascontiguousarray(d_ib[:, None, :, 0]),
+                             owned=True)
         if w_hh.requires_grad:
-            h_prev_2d = h_stack[:, :steps].reshape(
-                channels, steps * batch, hidden)
-            w_hh._accumulate(np.matmul(
-                h_prev_2d.transpose(0, 2, 1),
-                dgh.reshape(channels, steps * batch, h3)), owned=True)
+            w_hh._accumulate(d_hh, owned=True)
         if bias.requires_grad:
-            bias._accumulate(dgx_2d.sum(axis=1), owned=True)
+            bias._accumulate(np.ascontiguousarray(d_ib[..., 1]), owned=True)
 
     return Tensor._make(out_data, (values, w_ih, w_hh, bias), backward)
 
@@ -2207,19 +2241,20 @@ def gru_scan_step(x_t, h, w_ih, w_hh, b_ih, b_hh):
 def per_feature_gru_scan_step(x_t, h, w_ih, w_hh, bias):
     """One inference-only step of :func:`per_feature_gru_scan`.
 
-    Plain arrays: ``x_t`` is ``(batch, C)``, ``h`` the stacked state
-    ``(C, batch, H)`` (zeros before the first step); returns the new
-    state.  The single-step projection is elementwise like the scan's
-    hoisted one and the gate tail is the scan's, so feeding a sequence
-    one step at a time reproduces the scan's state bit for bit at every
-    prefix (the streaming contract, per batch width; see
-    :func:`gru_scan_step`).
+    Plain arrays: ``x_t`` is ``(batch, C)``, ``h`` the stacked
+    gate-major state ``(C, H, batch)`` (zeros before the first step);
+    returns the new state.  It runs the scan's own step
+    (:func:`_per_feature_step_into`) on the same operand views, so
+    feeding a sequence one step at a time reproduces the scan's state
+    bit for bit at every prefix (the streaming contract, per batch
+    width; see :func:`gru_scan_step`).
     """
-    gt = np.multiply(x_t.T[..., None], w_ih)
-    gt += bias[:, None]
-    gh = np.matmul(h, w_hh)
-    return _gru_gates_into(gt, gh, h, gt, np.empty_like(h),
-                           np.empty_like(h))
+    gt = np.empty((w_hh.shape[0], w_hh.shape[2], h.shape[-1]),
+                  dtype=np.result_type(x_t, w_ih))
+    return _per_feature_step_into(
+        x_t.T, h, w_ih.transpose(0, 2, 1), w_hh.transpose(0, 2, 1),
+        bias[..., None], gt, np.empty_like(gt), np.empty_like(h),
+        np.empty_like(h))
 
 
 def grud_scan_step(values_t, mask_t, deltas_t, h, input_decay,

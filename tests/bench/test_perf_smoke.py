@@ -31,7 +31,7 @@ def floor_spec():
 
 
 def test_floor_file_is_well_formed(floor_spec):
-    assert floor_spec["schema"] == "repro.bench/perf-floor-v7"
+    assert floor_spec["schema"] == "repro.bench/perf-floor-v8"
     assert floor_spec["benchmark"]["bucket_by_length"] is True
     assert set(floor_spec["dtypes"]) == {"float32", "float64"}
     for entry in floor_spec["dtypes"].values():

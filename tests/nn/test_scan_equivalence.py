@@ -314,7 +314,7 @@ class TestPerFeatureGRUScanEquivalence:
         """The array step kernel fed one timestep at a time reaches the
         scan's state bit for bit after every prefix."""
         rng = np.random.default_rng(203 + batch)
-        encoder = _per_feature_encoder(4, 3, 9)
+        encoder = _per_feature_encoder(4, 2, 9)
         x = rng.normal(size=(batch, 6, 4)).astype(dtype_policy)
         params = [p.data for p in (encoder.w_ih, encoder.w_hh, encoder.bias)]
         h = encoder.initial_state(batch).data
@@ -323,7 +323,7 @@ class TestPerFeatureGRUScanEquivalence:
             assert h.dtype == dtype_policy
             with no_grad():
                 full = ops.per_feature_gru_scan(x[:, :t], *params).data
-            np.testing.assert_array_equal(h.transpose(1, 0, 2), full)
+            np.testing.assert_array_equal(h.transpose(2, 0, 1), full)
 
 
 class TestScanOpValidation:
