@@ -26,7 +26,7 @@ from ..data import (NUM_FEATURES, ShardedDataset, SyntheticEMRGenerator,
 from ..train import Trainer
 from .profiler import profile
 
-__all__ = ["benchmark_capture", "benchmark_cohort", "benchmark_streaming",
+__all__ = ["benchmark_cohort", "benchmark_streaming",
            "benchmark_training", "benchmark_sharded_training",
            "max_rss_bytes"]
 
@@ -143,79 +143,6 @@ def _attach_byte_accounting(config, profiler, history, train_size,
     config["profiled_steps"] = int(num_steps)
     config["allocated_bytes_per_step"] = int(total_bytes // num_steps)
     config["peak_grad_bytes"] = int(profiler.peak_grad_bytes)
-
-
-def benchmark_capture(model_name="ELDA-Net", num_admissions=64, seed=0,
-                      batch_sizes=(1, 32, 64), repeats=30, warmup=5,
-                      dtype=None):
-    """Eager vs captured-replay steady-state inference latency.
-
-    Builds ``model_name`` fresh (inference cost does not depend on
-    trained weights), captures one graph per batch size with
-    :func:`repro.nn.capture.trace`, verifies replay is bit-identical to
-    the eager forward, then times both paths over the *same* batch:
-    ``repeats`` timed iterations after ``warmup`` discarded ones, median
-    per-forward latency.  This is the serving-side counterpart of
-    :func:`benchmark_training` — no profiler, raw wall-clock only.
-
-    Returns ``{"config": ..., "lanes": {batch_size: {eager_seconds,
-    replay_seconds, speedup}}}``; the ``repro bench --capture`` CLI lane
-    persists it as ``BENCH_*.json`` and
-    ``tests/bench/test_capture_perf.py`` enforces the batch-1 speedup
-    floor from ``benchmarks/results/perf_floor.json``.
-    """
-    from statistics import median
-
-    from ..nn import capture
-    from ..nn.dtype import autocast, get_default_dtype, resolve_dtype
-
-    resolved = resolve_dtype(dtype) if dtype is not None else get_default_dtype()
-    lanes = {}
-    with autocast(resolved):
-        splits = benchmark_cohort(num_admissions=num_admissions, seed=seed)
-        model = build_model(model_name, NUM_FEATURES,
-                            np.random.default_rng(seed))
-        for batch_size in batch_sizes:
-            batch = splits.test.subset(np.arange(batch_size)
-                                       % len(splits.test))
-            graph = capture.trace(model, batch)
-            eager = model.predict_logits(batch)
-            if not np.array_equal(eager, graph.replay(batch)):
-                raise AssertionError(
-                    f"captured replay of {model_name} at batch "
-                    f"{batch_size} is not bit-identical to eager")
-
-            def time_lane(run):
-                for _ in range(warmup):
-                    run()
-                samples = []
-                for _ in range(repeats):
-                    started = perf_counter()
-                    run()
-                    samples.append(perf_counter() - started)
-                return median(samples)
-
-            eager_seconds = time_lane(lambda: model.predict_logits(batch))
-            replay_seconds = time_lane(lambda: graph.replay(batch))
-            lanes[int(batch_size)] = {
-                "eager_seconds": eager_seconds,
-                "replay_seconds": replay_seconds,
-                "speedup": (eager_seconds / replay_seconds
-                            if replay_seconds > 0 else float("inf")),
-            }
-    config = {
-        "model": model_name,
-        "num_admissions": num_admissions,
-        "seed": seed,
-        "batch_sizes": [int(b) for b in batch_sizes],
-        "repeats": repeats,
-        "warmup": warmup,
-        "dtype": np.dtype(resolved).name,
-        "num_parameters": model.num_parameters(),
-        "captured_thunks": graph.num_thunks,
-        "captured_steps": graph.num_steps,
-    }
-    return {"config": config, "lanes": lanes}
 
 
 def benchmark_streaming(model_name="GRU", num_admissions=64, seed=0,

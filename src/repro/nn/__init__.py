@@ -12,11 +12,7 @@ primitive in :mod:`repro.nn.ops` is registered with sample inputs that an
 exhaustive test sweep gradchecks mechanically (see docs/CORRECTNESS.md).
 """
 
-from . import backend, capture, debug, dtype, gradcheck, init, losses, ops, \
-    schedules
-from .capture import (CaptureBatch, CaptureError, CaptureShapeError,
-                      CaptureUnsupportedError, CapturedGraph)
-from .capture import trace as capture_trace
+from . import backend, debug, dtype, gradcheck, init, losses, ops, schedules
 from .debug import AnomalyError, audit_backward, detect_anomaly
 from .dtype import autocast, get_default_dtype, set_default_dtype
 from .gradcheck import GradcheckFailure, check_module
@@ -34,8 +30,6 @@ __all__ = [
     "save_weights", "load_weights", "save_state", "load_state",
     "detect_anomaly", "AnomalyError", "audit_backward",
     "check_module", "GradcheckFailure",
-    "CaptureBatch", "CapturedGraph", "capture_trace",
-    "CaptureError", "CaptureShapeError", "CaptureUnsupportedError",
     "ops", "init", "losses", "schedules", "gradcheck", "debug", "dtype",
-    "backend", "capture",
+    "backend",
 ]

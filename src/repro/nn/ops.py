@@ -48,7 +48,6 @@ from collections import OrderedDict
 from .backend import xp as np
 
 from ..bench import _hooks as _bench_hooks
-from . import _capture_hooks
 from .tensor import Tensor, as_tensor, is_grad_enabled, unbroadcast
 
 __all__ = [
@@ -124,15 +123,12 @@ def differentiable(sample_factory=None):
     def decorate(fn):
         name = fn.__name__
         active_profilers = _bench_hooks._PROFILERS  # bound once; shared list
-        active_tracers = _capture_hooks._TRACERS    # bound once; shared list
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            # Fast path: two truthiness checks when nothing observes.
+            # Fast path: one truthiness check when no profiler observes.
             if active_profilers:
                 return _bench_hooks.call_op(name, fn, args, kwargs)
-            if active_tracers:
-                return _capture_hooks.call_op(name, fn, args, kwargs)
             return fn(*args, **kwargs)
 
         _REGISTRY[name] = OpSpec(name, wrapper, sample_factory)
@@ -1785,10 +1781,7 @@ def stagenet_scan(x, h0, c0, w_ih, w_hh, bias, stage_weight, stage_bias,
 #
 # Two graph nodes carry the whole feature path over the (B, T, C, e)
 # slab: affine_embedding (Eq. 2 with the missing-value routing) and
-# feature_interaction (Eqs. 3-6).  Their forwards are written as
-# out=-buffered helpers shared with the capture replay kernels
-# (repro.nn.capture), so a replay is bit-identical to the eager op by
-# construction.
+# feature_interaction (Eqs. 3-6).
 # ----------------------------------------------------------------------
 
 #: ``|x|`` below this is an exact standardized zero for the ``star``
@@ -1799,32 +1792,6 @@ _ZERO_TOL = 1e-9
 #: ``(64, C, C)`` grid and ``(64, C, e)`` slabs stay in a 2 MiB L2 at
 #: C=37, e=24; see docs/PERFORMANCE.md for the measured sizes.
 _INTERACTION_TILE = 64
-
-
-def _embedding_masks(x, ever_observed, star):
-    """The routing masks of :func:`affine_embedding`: ``zero`` (the
-    shape of ``x``) at exact standardized zeros when ``star``, and
-    ``never`` ``(B, C)`` for never-observed features; ``None`` when
-    off."""
-    zero = np.abs(x) < x.dtype.type(_ZERO_TOL) if star else None
-    never = None if ever_observed is None \
-        else np.logical_not(ever_observed)
-    return zero, never
-
-
-def _affine_embedding_into(x, slope, intercept, zero, never, missing, out):
-    """``x ⊙ slope + intercept`` over a trailing embedding axis, then the
-    routing as masked copies: ones at ``zero``, then the ``missing`` row
-    of every never-observed ``(b, c)`` at every step."""
-    np.multiply(x[..., None], slope, out=out)
-    if intercept is not None:
-        out += intercept
-    if zero is not None:
-        out[zero] = 1.0
-    if never is not None:
-        rows, cols = np.nonzero(never)
-        out[rows, :, cols] = missing[cols, None]
-    return out
 
 
 def _affine_embedding_sample(rng):
@@ -1871,13 +1838,13 @@ def affine_embedding(x, slope, intercept=None, ever_observed=None,
       entry embeds feature ``i`` of admission ``b`` as the ``missing``
       row ``V_i^m`` at every step, over ``star``.
 
-    Both masks are computed here from ``x`` and ``ever_observed``, so a
-    capture replay recomputes them per batch.  The backward zeroes the
-    routed entries of ``dx`` and of the ``x`` rows that feed the slope
-    gradient.  The slope, intercept and missing-table gradients are one
-    batched GEMM over ``C``: the masked ``x``, the keep mask and the
-    never mask as rows against a feature-major view of the incoming
-    gradient, so no ``(..., C, e)`` temporary exists.
+    Both masks are computed here from ``x`` and ``ever_observed``.  The
+    backward zeroes the routed entries of ``dx`` and of the ``x`` rows
+    that feed the slope gradient.  The slope, intercept and
+    missing-table gradients are one batched GEMM over ``C``: the masked
+    ``x``, the keep mask and the never mask as rows against a
+    feature-major view of the incoming gradient, so no ``(..., C, e)``
+    temporary exists.
     """
     x, slope = as_tensor(x), as_tensor(slope)
     intercept = None if intercept is None else as_tensor(intercept)
@@ -1897,11 +1864,18 @@ def affine_embedding(x, slope, intercept=None, ever_observed=None,
             f"tables {[t.shape for t in tables]}, ever_observed "
             f"{ever_observed.shape if routed else None}")
     size = slope.shape[1]
-    zero, never = _embedding_masks(x.data, ever_observed, star)
-    out_data = _affine_embedding_into(
-        x.data, slope.data, None if intercept is None else intercept.data,
-        zero, never, None if missing is None else missing.data,
-        np.empty(x.shape + (size,), dtype=slope.data.dtype))
+    out_data = np.multiply(x.data[..., None], slope.data, out=np.empty(
+        x.shape + (size,), dtype=slope.data.dtype))
+    if intercept is not None:
+        out_data += intercept.data
+    zero = never = None
+    if star:
+        zero = np.abs(x.data) < x.data.dtype.type(_ZERO_TOL)
+        out_data[zero] = 1.0
+    if routed:
+        never = np.logical_not(ever_observed)
+        rows, cols = np.nonzero(never)
+        out_data[rows, :, cols] = missing.data[cols, None]
     parents = (x,) + tuple(tables)
 
     def backward(grad):

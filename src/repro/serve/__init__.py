@@ -5,8 +5,8 @@ Inference through the training engine drags the whole training stack
 this package is the serving half the ROADMAP's north star asks for.
 One configuration object drives every component:
 
-* :class:`ServeConfig` — every serving knob (batching, caching, capture,
-  pool sizing, deadlines) in one frozen JSON-able dataclass, persisted
+* :class:`ServeConfig` — every serving knob (batching, caching, pool
+  sizing, deadlines) in one frozen JSON-able dataclass, persisted
   as the ``serve`` block of a run directory's ``config.json``.
 * :class:`Predictor` — wraps any registry model + checkpoint behind one
   validated ``predict_proba`` / ``predict`` surface, running ``eval()``

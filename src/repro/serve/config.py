@@ -4,8 +4,8 @@ The serving stack grew one keyword at a time — ``batch_size`` on the
 :class:`~repro.serve.Predictor`, ``max_batch_size``/``max_wait_ms`` for
 the coalescing loop that the :class:`~repro.serve.MicroBatcher` and the
 replica-pool workers share, ``capacity`` on the
-:class:`~repro.serve.PreprocessCache`, ``capture``/``max_captures`` for
-graph capture, and pool sizing and deadlines for the replica pool.
+:class:`~repro.serve.PreprocessCache`, and pool sizing and deadlines for
+the replica pool.
 :class:`ServeConfig` consolidates all of them into a single frozen
 dataclass that every serving component accepts as its first
 configuration argument, that round-trips through JSON, and that training
@@ -16,7 +16,8 @@ run directories persist as the ``serve`` block of ``config.json`` (so
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields, replace
+import warnings
+from dataclasses import InitVar, asdict, dataclass, fields, replace
 from pathlib import Path
 
 __all__ = ["ServeConfig", "resolve_config"]
@@ -45,12 +46,6 @@ class ServeConfig:
     cache_capacity:
         LRU capacity shared by the preprocessing cache and the
         streaming session store (entries, per component).
-    capture:
-        Tri-state inference graph capture: ``None`` inherits the run
-        directory's persisted preference (off when absent), ``True`` /
-        ``False`` force it.
-    max_captures:
-        Shape budget for captured graphs per predictor.
     workers:
         Replica-pool size — number of worker processes, each holding a
         shared-nothing model replica.
@@ -61,21 +56,29 @@ class ServeConfig:
         Bound on in-flight pool requests (backpressure): the asyncio
         front-end blocks and the raw ``submit`` surface raises
         :class:`~repro.serve.ServeOverloadError` beyond it.
+    capture, max_captures:
+        Retired with inference graph capture: accepted with a
+        ``DeprecationWarning`` and not stored, so older callers still
+        construct.
     """
 
     batch_size: int = 64
     max_batch_size: int = 32
     max_wait_ms: float = 2.0
     cache_capacity: int = 4096
-    capture: bool | None = None
-    max_captures: int = 8
     workers: int = 2
     deadline_ms: float | None = None
     queue_depth: int = 128
+    capture: InitVar[bool | None] = None
+    max_captures: InitVar[int | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, capture, max_captures):
+        if capture is not None or max_captures is not None:
+            warnings.warn("ServeConfig capture/max_captures are retired "
+                          "and ignored: serving always runs the eager "
+                          "forward", DeprecationWarning, stacklevel=3)
         for name in ("batch_size", "max_batch_size", "cache_capacity",
-                     "max_captures", "workers", "queue_depth"):
+                     "workers", "queue_depth"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 object.__setattr__(self, name, int(value))
@@ -90,8 +93,6 @@ class ServeConfig:
             if self.deadline_ms <= 0:
                 raise ValueError("ServeConfig.deadline_ms must be > 0 "
                                  "(use None to disable deadlines)")
-        if self.capture is not None and not isinstance(self.capture, bool):
-            object.__setattr__(self, "capture", bool(self.capture))
 
     # ------------------------------------------------------------------
     # Derivation / serialization

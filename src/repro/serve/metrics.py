@@ -42,8 +42,6 @@ class ServeMetrics:
         self._batch_seconds = 0.0
         self._cache_hits = 0
         self._cache_misses = 0
-        self._capture_hits = 0
-        self._capture_fallbacks = 0
         self._stream_sessions = 0
         self._stream_steps = 0
         self._stream_native_steps = 0
@@ -69,15 +67,6 @@ class ServeMetrics:
                 self._cache_hits += 1
             else:
                 self._cache_misses += 1
-
-    def record_capture(self, hit):
-        """One capture-enabled forward resolved: replay hit or eager
-        fallback (unsupported model, shape-budget overflow, …)."""
-        with self._lock:
-            if hit:
-                self._capture_hits += 1
-            else:
-                self._capture_fallbacks += 1
 
     def record_stream_session(self):
         """One :class:`~repro.serve.StreamingSession` opened."""
@@ -108,8 +97,9 @@ class ServeMetrics:
                 "batch_seconds": self._batch_seconds,
                 "cache_hits": self._cache_hits,
                 "cache_misses": self._cache_misses,
-                "capture_hits": self._capture_hits,
-                "capture_fallbacks": self._capture_fallbacks,
+                # Retired with graph capture; perfbench still reads them.
+                "capture_hits": 0,
+                "capture_fallbacks": 0,
                 "stream_sessions": self._stream_sessions,
                 "stream_steps": self._stream_steps,
                 "stream_native_steps": self._stream_native_steps,
@@ -126,9 +116,6 @@ class ServeMetrics:
             self._batch_seconds += float(snapshot.get("batch_seconds", 0.0))
             self._cache_hits += int(snapshot.get("cache_hits", 0))
             self._cache_misses += int(snapshot.get("cache_misses", 0))
-            self._capture_hits += int(snapshot.get("capture_hits", 0))
-            self._capture_fallbacks += int(
-                snapshot.get("capture_fallbacks", 0))
             self._stream_sessions += int(snapshot.get("stream_sessions", 0))
             self._stream_steps += int(snapshot.get("stream_steps", 0))
             self._stream_native_steps += int(
@@ -188,16 +175,6 @@ class ServeMetrics:
             return self._stream_steps
 
     @property
-    def capture_hits(self):
-        with self._lock:
-            return self._capture_hits
-
-    @property
-    def eager_fallbacks(self):
-        with self._lock:
-            return self._capture_fallbacks
-
-    @property
     def cache_hit_rate(self):
         with self._lock:
             total = self._cache_hits + self._cache_misses
@@ -215,8 +192,6 @@ class ServeMetrics:
             latencies = list(self._request_latencies)
             histogram = dict(sorted(self._batch_sizes.items()))
             cache_hits, cache_misses = self._cache_hits, self._cache_misses
-            capture_hits = self._capture_hits
-            capture_fallbacks = self._capture_fallbacks
             batch_seconds = self._batch_seconds
             stream = {
                 "sessions": self._stream_sessions,
@@ -226,7 +201,7 @@ class ServeMetrics:
             }
         total_batches = sum(histogram.values())
         payload = {
-            "schema": "repro.serve/v2",
+            "schema": "repro.serve/v3",
             "label": self.label,
             "requests": len(latencies),
             "batches": total_batches,
@@ -248,10 +223,6 @@ class ServeMetrics:
                 "hit_rate": (cache_hits / (cache_hits + cache_misses)
                              if cache_hits + cache_misses else 0.0),
             },
-            "capture": {
-                "hits": capture_hits,
-                "eager_fallbacks": capture_fallbacks,
-            },
         }
         if extra:
             payload["extra"] = dict(extra)
@@ -271,11 +242,6 @@ class ServeMetrics:
             f"({payload['cache']['hits']} hits / "
             f"{payload['cache']['misses']} misses)",
         ]
-        capture = payload["capture"]
-        if capture["hits"] or capture["eager_fallbacks"]:
-            lines.append(
-                f"capture         : {capture['hits']} replay hits / "
-                f"{capture['eager_fallbacks']} eager fallbacks")
         stream = payload["stream"]
         if stream["steps"]:
             lines.append(

@@ -3,8 +3,7 @@
 One Python process tops out at one GIL's worth of request handling; the
 :class:`ReplicaPool` forks ``workers`` OS processes, each rebuilding the
 model from the run directory's pickled
-:class:`~repro.baselines.ModelSpec` + checkpoint (capture-aware, so each
-replica replays the inference graph independently) and serving from its
+:class:`~repro.baselines.ModelSpec` + checkpoint and serving from its
 own :class:`~repro.serve.SessionStore`.  The parent process never holds
 the model — it only routes:
 

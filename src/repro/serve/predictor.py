@@ -85,10 +85,7 @@ class Predictor:
         A :class:`~repro.serve.ServeConfig`.  The fields this component
         reads: ``batch_size`` (bulk-prediction chunk size; matching the
         training batch size reproduces the training engine's
-        ``predict_proba`` bit-for-bit), ``capture`` (route forwards through inference
-        graph capture, :func:`repro.nn.capture.trace` — ``None`` means
-        off here), and ``max_captures`` (shape budget for captured
-        graphs; bulk prediction needs two, the micro-batcher one).
+        ``predict_proba`` bit-for-bit).
     spec:
         Optional :class:`~repro.baselines.ModelSpec`; enables feature-
         count validation and round-trip introspection.  Defaults to the
@@ -110,10 +107,6 @@ class Predictor:
         self.batch_size = self.config.batch_size
         self.spec = spec if spec is not None else getattr(model, "spec", None)
         self.metrics = metrics
-        self.capture = bool(self.config.capture)
-        self.max_captures = self.config.max_captures
-        self._graphs = {}
-        self._capture_broken = False
 
     # ------------------------------------------------------------------
     # Input validation
@@ -169,61 +162,12 @@ class Predictor:
         if pad_to is not None:
             if n > pad_to:
                 raise ValueError(f"batch of {n} rows exceeds pad_to={pad_to}")
-            started = perf_counter()
-            logits = self._forward(_pad_rows(batch, pad_to))[:n]
-        else:
-            started = perf_counter()
-            logits = self._forward(batch)
+            batch = _pad_rows(batch, pad_to)
+        started = perf_counter()
+        logits = self.model.predict_logits(batch)[:n]
         if self.metrics is not None:
             self.metrics.record_batch(n, perf_counter() - started)
         return logits
-
-    def _forward(self, batch):
-        """One full-batch forward: captured replay when enabled, else eager."""
-        if self.capture:
-            from ..nn import capture as nn_capture
-
-            graph = None if self._capture_broken else self._graph_for(batch)
-            if graph is not None:
-                try:
-                    logits = graph.replay(batch)
-                except nn_capture.CaptureError:
-                    # Invalidated (parameter storage swap, dtype-policy
-                    # change): drop stale graphs; next forward re-traces.
-                    self._graphs.clear()
-                else:
-                    if self.metrics is not None:
-                        self.metrics.record_capture(hit=True)
-                    return logits
-            if self.metrics is not None:
-                self.metrics.record_capture(hit=False)
-        return self.model.predict_logits(batch)
-
-    def _graph_for(self, batch):
-        """Captured graph for this batch's shape, tracing on first use.
-
-        Returns ``None`` — eager fallback — when the model failed trace
-        validation earlier, or the shape budget is spent on other
-        shapes.  A model-level :class:`~repro.nn.capture.CaptureError`
-        (unsupported forward, replaced parameter storage) marks capture
-        broken for good rather than re-tracing every call.
-        """
-        from ..nn import capture as nn_capture
-
-        key = tuple(np.asarray(getattr(batch, f)).shape
-                    for f in nn_capture._INPUT_FIELDS)
-        graph = self._graphs.get(key)
-        if graph is not None:
-            return graph
-        if len(self._graphs) >= self.max_captures:
-            return None
-        try:
-            graph = nn_capture.trace(self.model, batch)
-        except nn_capture.CaptureError:
-            self._capture_broken = True
-            return None
-        self._graphs[key] = graph
-        return graph
 
     def predict_proba(self, batch, pad_to=None):
         """Predicted probabilities, chunked at the bulk batch size.

@@ -31,7 +31,7 @@ def floor_spec():
 
 
 def test_floor_file_is_well_formed(floor_spec):
-    assert floor_spec["schema"] == "repro.bench/perf-floor-v8"
+    assert floor_spec["schema"] == "repro.bench/perf-floor-v9"
     assert floor_spec["benchmark"]["bucket_by_length"] is True
     assert set(floor_spec["dtypes"]) == {"float32", "float64"}
     for entry in floor_spec["dtypes"].values():
@@ -44,8 +44,6 @@ def test_floor_file_is_well_formed(floor_spec):
         for entry in lanes.values():
             assert 0 < entry["floor_steps_per_sec"] \
                 < entry["measured_steps_per_sec"]
-    capture = floor_spec["capture"]
-    assert 1.0 < capture["floor_speedup"] < capture["measured_speedup"]
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])

@@ -12,9 +12,9 @@ within 1e-10 under float64 and 1e-4 under float32.  The scenarios cover
 batch 2 / 3 steps, one step, batch 1, never-observed routing, the
 ``bi*`` / ``fm*`` zero variants, the FM embedding, the uniform-attention
 ablation, and lead sizes on both sides of the interaction's tile
-boundaries.  Two more checks pin the routing: one training step must
+boundaries.  One more check pins the routing: one training step must
 call each op exactly once with nothing else on the ``(B, T, C, e)``
-slab, and capture must replay both through native kernels.
+slab.
 """
 
 import numpy as np
@@ -24,8 +24,7 @@ from repro.bench import profile
 from repro.core.elda_net import build_variant
 from repro.core.embedding import BiDirectionalEmbedding, build_embedding
 from repro.core.feature_interaction import FeatureInteractionModule
-from repro.data import NUM_FEATURES
-from repro.nn import Tensor, capture, no_grad, ops
+from repro.nn import Tensor, no_grad, ops
 from repro.nn.dtype import autocast
 from repro.nn.losses import bce_with_logits
 from tests.nn.oracles import (bi_embedding_reference,
@@ -277,7 +276,7 @@ class TestInteractionTiles:
     """``feature_interaction`` walks the flattened lead axis in tiles of
     ``_INTERACTION_TILE`` rows; lead sizes on both sides of each tile
     boundary must agree with the oracle, and the tile paths (grad,
-    no-grad, retained graph, capture) with each other."""
+    no-grad, retained graph) with each other."""
 
     LEADS = [1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1]
 
@@ -344,21 +343,6 @@ class TestInteractionTiles:
         for first, second in zip(*rounds):
             assert np.array_equal(first, second)
 
-    @pytest.mark.parametrize("overrides", [{}, {"feature_attention": False}],
-                             ids=["attention", "uniform"])
-    def test_capture_replays_multi_tile_leads(self, overrides,
-                                              tiny_dataset):
-        model = build_variant("ELDA-Net", NUM_FEATURES,
-                              np.random.default_rng(0), embedding_size=4,
-                              hidden_size=6, compression=2, **overrides)
-        traced = tiny_dataset.subset(np.arange(3))
-        fresh = tiny_dataset.subset(np.arange(10, 13))
-        assert traced.values.shape[0] * traced.values.shape[1] > 2 * _TILE
-        graph = capture.trace(model, traced)
-        for batch in (traced, fresh):
-            assert np.array_equal(model.predict_logits(batch),
-                                  graph.replay(batch))
-
 
 #: The five variants that run the feature module.
 FEATURE_VARIANTS = ["ELDA-Net", "ELDA-Net-Fbi", "ELDA-Net-Fbi*",
@@ -398,30 +382,3 @@ class TestFusedRouting:
         expected = 1 if model.use_time_module else 0
         assert prof.forward_calls("softmax") == expected
         assert prof.forward_calls("concat") == expected
-
-
-class TestCaptureKernels:
-    """Capture replays both ops through native kernels that read the
-    parameters' live arrays, so in-place weight updates reach a graph
-    traced before them, bit for bit (tests/nn/test_capture.py covers the
-    rest of the capture contract)."""
-
-    @pytest.mark.parametrize("name,overrides", [
-        ("ELDA-Net", {}), ("ELDA-Net-Fbi*", {}),
-        ("ELDA-Net", {"feature_attention": False}), ("ELDA-Net-Ffm*", {})])
-    def test_inplace_weight_updates_flow_through(self, name, overrides,
-                                                 tiny_dataset):
-        model = build_variant(name, NUM_FEATURES, np.random.default_rng(0),
-                              embedding_size=4, hidden_size=6, compression=2,
-                              **overrides)
-        batch = tiny_dataset.subset(np.arange(3))
-        graph = capture.trace(model, batch)
-        # Only the GRU scan re-runs its eager op; the fused feature ops
-        # have kernels of their own.
-        fallbacks = [thunk for thunk in graph._thunks
-                     if thunk.__qualname__.startswith("_make_fallback")]
-        assert len(fallbacks) == 1
-        for _, param in model.named_parameters():
-            param.data += param.data.dtype.type(0.01)
-        assert np.array_equal(model.predict_logits(batch),
-                              graph.replay(batch))

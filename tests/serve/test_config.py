@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import warnings
 
 import pytest
 
@@ -16,13 +17,12 @@ class TestValidation:
         config = ServeConfig()
         assert config.batch_size == 64
         assert config.max_batch_size == 32
-        assert config.capture is None
         assert config.workers == 2
         assert config.deadline_ms is None
 
     @pytest.mark.parametrize("field", ["batch_size", "max_batch_size",
-                                       "cache_capacity", "max_captures",
-                                       "workers", "queue_depth"])
+                                       "cache_capacity", "workers",
+                                       "queue_depth"])
     def test_integer_fields_must_be_positive(self, field):
         with pytest.raises(ValueError, match=field):
             ServeConfig(**{field: 0})
@@ -48,7 +48,7 @@ class TestValidation:
 
 class TestSerialization:
     def test_dict_round_trip(self):
-        config = ServeConfig(batch_size=16, capture=True, workers=3,
+        config = ServeConfig(batch_size=16, cache_capacity=8, workers=3,
                              deadline_ms=25.0)
         assert ServeConfig.from_dict(config.to_dict()) == config
 
@@ -73,6 +73,34 @@ class TestSerialization:
         assert ServeConfig.from_run_config({"batch_size": 24}).batch_size \
             == 24
         assert ServeConfig.from_run_config({}).batch_size == 64
+
+
+class TestRetiredCaptureKeywords:
+    """``capture`` and ``max_captures`` outlive inference graph capture
+    only as accepted, ignored keywords."""
+
+    RETIRED = {"capture", "max_captures"}
+
+    def test_warns_once_and_stores_neither(self):
+        with pytest.warns(DeprecationWarning, match="retired") as record:
+            config = ServeConfig(capture=True, max_captures=3)
+        assert len(record) == 1
+        assert config == ServeConfig()
+        assert not self.RETIRED & set(vars(config))
+        assert not self.RETIRED & set(ServeConfig.field_names())
+        assert not self.RETIRED & set(config.to_dict())
+
+    def test_replace_returns_an_equal_config(self):
+        config = ServeConfig(workers=3)
+        with pytest.warns(DeprecationWarning):
+            assert config.replace(capture=False) == config
+
+    def test_old_serve_block_still_loads(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config = ServeConfig.from_run_config(
+                {"serve": {"capture": True, "workers": 3}})
+        assert config.workers == 3
 
 
 class TestResolveConfig:
@@ -110,7 +138,6 @@ class TestFromRunDir:
             {"batch_size": 16, "serve": {"workers": 3, "capture": True}}))
         config = ServeConfig.from_run_dir(str(tmp_path))
         assert config.workers == 3
-        assert config.capture is True
         assert config.batch_size == 16  # the training batch size
 
     def test_matches_the_trained_run_config(self, trained_run):
@@ -154,12 +181,13 @@ class TestRunDirPersistence:
         assert predictor.config.workers == 9
         assert (run_copy / "config.json").read_text() == before
 
-    def test_capture_flag_still_persists(self, run_copy):
+    def test_explicit_field_persists_and_plain_load_restores(self,
+                                                             run_copy):
         persisted = ServeConfig.from_run_dir(run_copy)
-        Predictor.load(run_copy, config=persisted.replace(capture=True))
-        assert Predictor.load(run_copy).capture is True
-        Predictor.load(run_copy, config=persisted.replace(capture=False))
-        assert Predictor.load(run_copy).capture is False
+        Predictor.load(run_copy, config=persisted.replace(max_batch_size=5))
+        assert Predictor.load(run_copy).config.max_batch_size == 5
+        Predictor.load(run_copy, config=persisted.replace(max_batch_size=7))
+        assert Predictor.load(run_copy).config.max_batch_size == 7
 
     def test_pool_with_explicit_config_never_reads_the_run_dir(self,
                                                                tmp_path):

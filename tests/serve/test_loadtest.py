@@ -61,7 +61,7 @@ class TestReportSchema:
         path = Path(smoke_report["report_path"])
         assert path.name.startswith("SERVE_smoke_")
         payload = json.loads(path.read_text())
-        assert payload["schema"] == "repro.serve/v2"
+        assert payload["schema"] == "repro.serve/v3"
         assert payload["extra"]["loadtest"]["schema"] == "repro.loadtest/v1"
         # Worker-side batch accounting merged into the parent report.
         assert payload["batches"] >= 1

@@ -38,16 +38,6 @@ class TestAccounting:
         metrics.record_cache(hit=False)
         assert metrics.cache_hit_rate == pytest.approx(2 / 3)
 
-    def test_capture_counters(self):
-        metrics = ServeMetrics()
-        assert metrics.capture_hits == 0
-        assert metrics.eager_fallbacks == 0
-        metrics.record_capture(hit=True)
-        metrics.record_capture(hit=True)
-        metrics.record_capture(hit=False)
-        assert metrics.capture_hits == 2
-        assert metrics.eager_fallbacks == 1
-
     def test_empty_metrics_are_all_zero(self):
         metrics = ServeMetrics()
         assert metrics.request_count == 0
@@ -86,13 +76,11 @@ class TestReporting:
         metrics.record_request(0.015)
         metrics.record_cache(hit=True)
         metrics.record_cache(hit=False)
-        metrics.record_capture(hit=True)
-        metrics.record_capture(hit=False)
         return metrics
 
     def test_as_dict_schema(self):
         payload = self._populated().as_dict(extra={"clients": 2})
-        assert payload["schema"] == "repro.serve/v2"
+        assert payload["schema"] == "repro.serve/v3"
         assert payload["requests"] == 2
         assert payload["batches"] == 2
         assert payload["batch_size_histogram"] == {"4": 2}
@@ -100,7 +88,7 @@ class TestReporting:
         assert set(payload["latency_seconds"]) == {"p50", "p95", "p99", "max"}
         assert payload["latency_seconds"]["max"] == pytest.approx(0.015)
         assert payload["cache"] == {"hits": 1, "misses": 1, "hit_rate": 0.5}
-        assert payload["capture"] == {"hits": 1, "eager_fallbacks": 1}
+        assert "capture" not in payload
         assert payload["stream"] == {"sessions": 0, "steps": 0,
                                      "native_steps": 0, "step_seconds": 0.0}
         assert payload["extra"] == {"clients": 2}
@@ -110,17 +98,13 @@ class TestReporting:
         assert "requests        : 2" in table
         assert "cache hit rate  : 50.0%" in table
         assert "4x2" in table
-        assert "1 replay hits / 1 eager fallbacks" in table
-
-    def test_table_omits_capture_line_when_unused(self):
-        assert "replay hits" not in ServeMetrics().table()
 
     def test_save_writes_versioned_json(self, tmp_path):
         path = self._populated().save(tmp_path, extra={"note": "x"},
                                       stamp="20260806-120000")
         assert path.name == "SERVE_demo-run_20260806-120000.json"
         payload = json.loads(path.read_text())
-        assert payload["schema"] == "repro.serve/v2"
+        assert payload["schema"] == "repro.serve/v3"
         assert payload["created"] == "20260806-120000"
         assert payload["extra"] == {"note": "x"}
 
@@ -190,8 +174,8 @@ class TestMerge:
     def test_snapshot_round_trips_through_json(self):
         child = self._worker([0.005], streams=1)
         child.record_cache(hit=True)
-        child.record_capture(hit=False)
         snapshot = json.loads(json.dumps(child.snapshot()))
+        assert snapshot["capture_hits"] == snapshot["capture_fallbacks"] == 0
         parent = ServeMetrics()
         parent.merge_snapshot(snapshot)
         assert parent.as_dict() == child.as_dict()

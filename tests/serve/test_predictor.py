@@ -1,8 +1,5 @@
 """Predictor: protocol coverage, validation, and bit-identity guarantees."""
 
-import json
-import shutil
-
 import numpy as np
 import pytest
 
@@ -169,123 +166,3 @@ class TestMetricsIntegration:
         predictor.predict_proba(tiny_dataset.subset(np.arange(10)))
         assert metrics.batch_count == 3  # 4 + 4 + 2
         assert metrics.batch_size_histogram() == {2: 1, 4: 2}
-
-
-class _UncapturableModel:
-    """Implements the inference protocol but computes outside the op
-    layer, so trace validation rejects it."""
-
-    def predict_logits(self, batch):
-        return np.asarray(batch.values).sum(axis=(1, 2))
-
-    def predict_proba(self, batch):
-        return 1.0 / (1.0 + np.exp(-self.predict_logits(batch)))
-
-    def named_parameters(self):
-        return iter(())
-
-
-class TestCapture:
-    @pytest.fixture()
-    def run_copy(self, trained_run, tmp_path):
-        """A private copy of the trained run dir — capture persistence
-        rewrites config.json, which must not leak into the shared
-        session fixture."""
-        _, run_dir = trained_run
-        dest = tmp_path / "run"
-        shutil.copytree(run_dir, dest)
-        return dest
-
-    def test_capture_serving_is_bit_identical(self, run_copy, serve_splits):
-        metrics = ServeMetrics("capture")
-        eager = Predictor.load(run_copy)
-        captured = Predictor.load(
-            run_copy, metrics=metrics,
-            config=ServeConfig.from_run_dir(run_copy).replace(capture=True))
-        reference = eager.predict_proba(serve_splits.test)
-        served = captured.predict_proba(serve_splits.test)
-        np.testing.assert_array_equal(served, reference)
-        assert metrics.capture_hits > 0
-        assert metrics.eager_fallbacks == 0
-        # same graphs replay again on a second pass
-        np.testing.assert_array_equal(
-            captured.predict_proba(serve_splits.test), reference)
-
-    def test_pad_to_pins_the_shape_to_one_graph(self, tiny_dataset):
-        metrics = ServeMetrics("padded")
-        model = build_model("GRU", NUM_FEATURES, np.random.default_rng(0),
-                            hidden_size=6)
-        predictor = Predictor(
-            model, ServeConfig(capture=True, max_captures=1),
-            metrics=metrics)
-        for size in (1, 3, 5):
-            batch = tiny_dataset.subset(np.arange(size))
-            np.testing.assert_array_equal(
-                predictor.predict_logits(batch, pad_to=8),
-                Predictor(model).predict_logits(batch, pad_to=8))
-        assert metrics.capture_hits == 3
-        assert metrics.eager_fallbacks == 0
-
-    def test_shape_budget_overflow_falls_back_to_eager(self, tiny_dataset):
-        metrics = ServeMetrics("budget")
-        model = build_model("LR", NUM_FEATURES, np.random.default_rng(0))
-        predictor = Predictor(
-            model, ServeConfig(capture=True, max_captures=1),
-            metrics=metrics)
-        predictor.predict_logits(tiny_dataset.subset(np.arange(2)))
-        predictor.predict_logits(tiny_dataset.subset(np.arange(5)))
-        assert metrics.capture_hits == 1
-        assert metrics.eager_fallbacks == 1
-
-    def test_uncapturable_model_serves_eagerly_forever(self, tiny_dataset):
-        metrics = ServeMetrics("fallback")
-        predictor = Predictor(_UncapturableModel(),
-                              ServeConfig(capture=True), metrics=metrics)
-        batch = tiny_dataset.subset(np.arange(3))
-        expected = np.asarray(batch.values).sum(axis=(1, 2))
-        for _ in range(2):
-            np.testing.assert_array_equal(predictor.predict_logits(batch),
-                                          expected)
-        assert metrics.capture_hits == 0
-        assert metrics.eager_fallbacks == 2
-
-    def test_storage_swap_invalidates_then_retraces(self, tiny_dataset):
-        metrics = ServeMetrics("swap")
-        model = build_model("GRU", NUM_FEATURES, np.random.default_rng(0),
-                            hidden_size=6)
-        predictor = Predictor(model, ServeConfig(capture=True),
-                              metrics=metrics)
-        batch = tiny_dataset.subset(np.arange(3))
-        predictor.predict_logits(batch)            # trace + replay
-        for _, param in model.named_parameters():  # Module.to()-style swap
-            param.data = param.data.copy()
-        swapped = predictor.predict_logits(batch)  # stale graph -> eager
-        retraced = predictor.predict_logits(batch)  # fresh trace
-        np.testing.assert_array_equal(swapped, model.predict_logits(batch))
-        np.testing.assert_array_equal(retraced, swapped)
-        assert metrics.capture_hits == 2
-        assert metrics.eager_fallbacks == 1
-
-    def test_capture_choice_persists_in_the_run_dir(self, run_copy):
-        assert Predictor.load(run_copy).capture is False
-        Predictor.load(run_copy, config=ServeConfig.from_run_dir(run_copy)
-                       .replace(capture=True))
-        persisted = json.loads((run_copy / "config.json").read_text())
-        assert persisted["serve"]["capture"] is True
-        assert Predictor.load(run_copy).capture is True
-        Predictor.load(run_copy, config=ServeConfig.from_run_dir(run_copy)
-                       .replace(capture=False))
-        assert Predictor.load(run_copy).capture is False
-
-    def test_bulk_capture_matches_trainer_reference(self, run_copy,
-                                                    trained_run,
-                                                    serve_splits):
-        """The strongest end-to-end claim: capture serving reproduces
-        the training engine's validation scores bit-for-bit."""
-        trainer, _ = trained_run
-        reference = trainer.engine.predict_proba(serve_splits.test)
-        served = Predictor.load(
-            run_copy,
-            config=ServeConfig.from_run_dir(run_copy).replace(capture=True)) \
-            .predict_proba(serve_splits.test)
-        np.testing.assert_array_equal(served, reference)

@@ -270,32 +270,6 @@ class TestRunDirAndResume:
         assert len(lines) == 4  # 2 original + 2 resumed
 
 
-class TestTriStateCapture:
-    """One --capture convention across predict/serve/loadtest."""
-
-    @pytest.mark.parametrize("command", ["predict", "serve", "loadtest"])
-    def test_defaults_to_auto(self, command):
-        args = build_parser().parse_args([command, "--run-dir", "runs/x"])
-        assert args.capture == "auto"
-
-    @pytest.mark.parametrize("command", ["predict", "serve", "loadtest"])
-    def test_bare_flag_means_on(self, command):
-        args = build_parser().parse_args(
-            [command, "--run-dir", "runs/x", "--capture"])
-        assert args.capture == "on"
-
-    @pytest.mark.parametrize("value", ["on", "off", "auto"])
-    def test_explicit_values(self, value):
-        args = build_parser().parse_args(
-            ["serve", "--run-dir", "runs/x", "--capture", value])
-        assert args.capture == value
-
-    def test_rejects_other_values(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["serve", "--run-dir", "runs/x", "--capture", "maybe"])
-
-
 class TestLoadtestCommand:
     @pytest.fixture(scope="class")
     def trained_run_dir(self, tmp_path_factory):
