@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.baselines import build_model
+from repro.baselines import ALL_MODEL_NAMES, build_model
 from repro.data import NUM_FEATURES
+from repro.nn.dtype import autocast
 from repro.serve import Predictor, ServeConfig, ServeMetrics
+
+from tests.baselines.test_registry import SMALL_KWARGS
 
 pytestmark = pytest.mark.serve
 
@@ -47,6 +50,29 @@ class TestInferenceProtocol:
         assert isinstance(logits, np.ndarray)
         # ...matching the training-mode-off graph forward numerically.
         np.testing.assert_array_equal(logits, tensor_logits.data)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("name", ALL_MODEL_NAMES)
+    def test_predict_logits_matches_graph_forward_exactly(self, name, dtype,
+                                                          tiny_dataset):
+        """Serving has one forward, ``predict_logits``; for every
+        registry model under both precision policies it must equal the
+        eval-mode graph forward bit for bit, in the policy dtype."""
+        with autocast(dtype):
+            model = build_model(name, NUM_FEATURES, np.random.default_rng(0),
+                                **SMALL_KWARGS[name])
+            model.train()
+            for rows in (np.arange(5), np.arange(7, 12)):
+                batch = tiny_dataset.subset(rows)
+                served = Predictor(model).predict_logits(batch)
+                assert model.training is True
+                model.eval()
+                graph = model.forward_batch(batch).data
+                model.train()
+                assert isinstance(served, np.ndarray)
+                assert served.dtype == graph.dtype == np.dtype(dtype)
+                assert np.array_equal(served, graph), (
+                    f"{name} serving forward diverges under {dtype}")
 
     def test_eval_restores_training_mode(self, tiny_dataset):
         model = build_model("GRU", NUM_FEATURES, np.random.default_rng(0),
@@ -123,6 +149,54 @@ class TestBitIdentity:
                 tiny_dataset.subset(np.asarray([i])), pad_to=16)
             np.testing.assert_array_equal(alone, together[i:i + 1])
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("name", ALL_MODEL_NAMES)
+    def test_registry_padded_forward_is_composition_independent(
+            self, name, dtype, tiny_dataset):
+        """The micro-batcher's determinism guarantee holds for every
+        registry model, not only the GRU above: a row's padded logits do
+        not depend on which rows shared its forward."""
+        with autocast(dtype):
+            model = build_model(name, NUM_FEATURES, np.random.default_rng(0),
+                                **SMALL_KWARGS[name])
+            predictor = Predictor(model)
+            together = predictor.predict_logits(
+                tiny_dataset.subset(np.arange(6)), pad_to=8)
+            for i in range(6):
+                alone = predictor.predict_logits(
+                    tiny_dataset.subset(np.asarray([i])), pad_to=8)
+                assert np.array_equal(alone, together[i:i + 1]), (
+                    f"{name} row {i} depends on its batch under {dtype}")
+
+    def test_inplace_weight_updates_reach_the_next_forward(self,
+                                                           tiny_dataset):
+        """The Predictor keeps no state derived from the weights, so an
+        optimizer-style in-place update is served by the next call."""
+        model = build_model("GRU", NUM_FEATURES, np.random.default_rng(0),
+                            hidden_size=6)
+        predictor = Predictor(model)
+        batch = tiny_dataset.subset(np.arange(3))
+        before = predictor.predict_logits(batch)
+        for _, param in model.named_parameters():
+            param.data += param.data.dtype.type(0.01)
+        after = predictor.predict_logits(batch)
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(after, model.predict_logits(batch))
+
+    def test_parameter_storage_swap_is_served(self, tiny_dataset):
+        """Replacing parameter arrays (e.g. ``Module.to()``) needs no
+        invalidation either."""
+        model = build_model("GRU", NUM_FEATURES, np.random.default_rng(0),
+                            hidden_size=6)
+        predictor = Predictor(model)
+        batch = tiny_dataset.subset(np.arange(3))
+        before = predictor.predict_logits(batch)
+        for _, param in model.named_parameters():
+            param.data = param.data.copy() * param.data.dtype.type(0.5)
+        swapped = predictor.predict_logits(batch)
+        assert not np.array_equal(swapped, before)
+        np.testing.assert_array_equal(swapped, model.predict_logits(batch))
+
     def test_pad_to_rejects_oversized_batches(self, tiny_dataset):
         model = build_model("GRU", NUM_FEATURES, np.random.default_rng(0),
                             hidden_size=6)
@@ -166,3 +240,29 @@ class TestMetricsIntegration:
         predictor.predict_proba(tiny_dataset.subset(np.arange(10)))
         assert metrics.batch_count == 3  # 4 + 4 + 2
         assert metrics.batch_size_histogram() == {2: 1, 4: 2}
+
+
+class _OffLayerModel:
+    """Implements the inference protocol with raw numpy, outside the op
+    layer; the eager serving path needs nothing more."""
+
+    def predict_logits(self, batch):
+        return np.asarray(batch.values).sum(axis=(1, 2))
+
+    def predict_proba(self, batch):
+        return 1.0 / (1.0 + np.exp(-self.predict_logits(batch)))
+
+    def named_parameters(self):
+        return iter(())
+
+
+class TestProtocolOnlyModels:
+    def test_off_layer_model_serves_its_own_forward(self, tiny_dataset):
+        metrics = ServeMetrics("off-layer")
+        predictor = Predictor(_OffLayerModel(), metrics=metrics)
+        batch = tiny_dataset.subset(np.arange(3))
+        expected = np.asarray(batch.values).sum(axis=(1, 2))
+        for _ in range(2):
+            np.testing.assert_array_equal(predictor.predict_logits(batch),
+                                          expected)
+        assert metrics.batch_count == 2

@@ -270,6 +270,27 @@ class TestRunDirAndResume:
         assert len(lines) == 4  # 2 original + 2 resumed
 
 
+class TestRetiredCaptureFlags:
+    """Serving has one eager forward; the flags that chose a captured
+    one fail loudly instead of being silently accepted."""
+
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--run-dir", "runs/x", "--capture"],
+        ["serve", "--run-dir", "runs/x", "--capture"],
+        ["loadtest", "--run-dir", "runs/x", "--capture", "on"],
+        ["bench", "--capture"],
+        ["bench", "--batch-sizes", "1", "8"],
+    ], ids=["predict", "serve", "loadtest", "bench", "bench-batch-sizes"])
+    def test_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("command", ["predict", "serve", "loadtest"])
+    def test_parsed_args_carry_no_capture_choice(self, command):
+        args = build_parser().parse_args([command, "--run-dir", "runs/x"])
+        assert not hasattr(args, "capture")
+
+
 class TestLoadtestCommand:
     @pytest.fixture(scope="class")
     def trained_run_dir(self, tmp_path_factory):
