@@ -172,7 +172,7 @@ def benchmark_streaming(model_name="GRU", num_admissions=64, seed=0,
     """
     from ..metrics.probability import probabilities
     from ..nn.dtype import autocast, get_default_dtype, resolve_dtype
-    from ..serve import Predictor, StreamingSession
+    from ..serve import Predictor
 
     resolved = (resolve_dtype(dtype) if dtype is not None
                 else get_default_dtype())

@@ -71,7 +71,6 @@ class TestLoadCohort:
 
 class TestSplitFractions:
     def test_custom_fractions(self):
-        import numpy as np
         splits = load_cohort("physionet2012", scale="small",
                              fractions=(0.5, 0.1, 0.4))
         total = (len(splits.train) + len(splits.validation)
