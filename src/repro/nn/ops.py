@@ -825,31 +825,32 @@ def _sigmoid_into(x, out):
     return out
 
 
-def _gru_gates_into(gt, gh, h_prev, g_act, h_new, tmp):
-    """The GRU gate tail shared by the GRU scans and their stream steps.
+def _gru_gates_into(gt, gh, h_prev, h_new, tmp):
+    """The GRU gate tail, run by the two GRU step helpers.
 
     Rank-agnostic (gates on the last axis, laid out ``[z | r | n]``):
-    ``gt`` holds the input-side gate pre-activations and is consumed in
-    place, ``gh`` the hidden-side ones (its candidate block ``n_h`` is
-    read, never written).  Writes the post-activation ``[z | r | n]``
-    into ``g_act`` (which may alias ``gt``) and
-    ``z * h_prev + (1 - z) * n`` into ``h_new``; ``tmp`` is scratch of
-    ``h_prev``'s shape.  Scan and step kernels run this one ufunc
-    sequence, so a streamed step reproduces its scan step bit for bit.
-    Callers may pass swapped views: :func:`per_feature_gru_scan` keeps
-    its gates gate-major ``(..., 3H, B)`` and passes ``.swapaxes(-1,
-    -2)`` views, which the ufuncs walk in memory order.
+    ``gt`` holds the input-side gate pre-activations and is overwritten
+    in place by the post-activations ``[z | r | n]`` (the backward's
+    ``g_act``), ``gh`` the hidden-side ones (its candidate block ``n_h``
+    is read, never written).  Writes ``z * h_prev + (1 - z) * n`` into
+    ``h_new``; ``tmp`` is scratch of ``h_prev``'s shape.  It runs inside
+    the step helpers :func:`_gru_step_into` and
+    :func:`_per_feature_step_into`, which each scan and its stream step
+    share, so streaming ≡ scan holds by construction.  Callers may pass
+    swapped views: :func:`per_feature_gru_scan` keeps its gates
+    gate-major ``(..., 3H, B)`` and passes ``.swapaxes(-1, -2)`` views,
+    which the ufuncs walk in memory order.
     """
     hidden = h_prev.shape[-1]
     h2 = 2 * hidden
     gt[..., :h2] += gh[..., :h2]
-    _sigmoid_into(gt[..., :h2], out=g_act[..., :h2])
-    z = g_act[..., :hidden]
-    r = g_act[..., hidden:h2]
+    _sigmoid_into(gt[..., :h2], out=gt[..., :h2])
+    z = gt[..., :hidden]
+    r = gt[..., hidden:h2]
     n_pre = gt[..., h2:]
     np.multiply(r, gh[..., h2:], out=tmp)
     n_pre += tmp
-    n = np.tanh(n_pre, out=g_act[..., h2:])
+    n = np.tanh(n_pre, out=n_pre)
     np.subtract(h_prev, n, out=h_new)            # z*h + (1-z)*n
     h_new *= z
     h_new += n
@@ -892,26 +893,25 @@ def _gru_gates_backward_into(dh, g_act, nh, h_prev, dgx, dgh, om):
     np.multiply(d_n, r, out=dgh[..., h2:])
 
 
-def _lstm_gates_into(gt, gh, c_prev, g_act, c_new, tc, h_new, tmp):
-    """The LSTM gate tail shared by the StageNet scan and its stream step.
+def _lstm_gates_into(gt, gh, c_prev, c_new, tc, h_new, tmp):
+    """The LSTM gate tail of :func:`_stagenet_step_into`.
 
     Gates on the last axis, laid out ``[i | f | g | o]``: ``gh`` (the
     recurrent projection) is added into ``gt`` (the input-side
-    pre-activations, consumed in place), the post-activations go to
-    ``g_act``, the cell ``f * c_prev + i * g`` to ``c_new``, its
-    ``tanh`` to ``tc`` and ``o * tanh(c)`` to ``h_new``; ``tmp`` is
+    pre-activations), which is overwritten in place by the
+    post-activations; the cell ``f * c_prev + i * g`` goes to ``c_new``,
+    its ``tanh`` to ``tc`` and ``o * tanh(c)`` to ``h_new``; ``tmp`` is
     scratch of ``c_prev``'s shape.  StageNet passes its pre-stage cell
-    as ``c_new``.  One ufunc sequence for scans and steps, as with
-    :func:`_gru_gates_into`.
+    as ``c_new``.
     """
     hidden = c_prev.shape[-1]
     h2, h3 = 2 * hidden, 3 * hidden
     gt += gh
-    _sigmoid_into(gt[..., :h2], out=g_act[..., :h2])       # i | f
-    g = np.tanh(gt[..., h2:h3], out=g_act[..., h2:h3])
-    o = _sigmoid_into(gt[..., h3:], out=g_act[..., h3:])
-    np.multiply(g_act[..., hidden:h2], c_prev, out=c_new)
-    np.multiply(g_act[..., :hidden], g, out=tmp)
+    _sigmoid_into(gt[..., :h2], out=gt[..., :h2])          # i | f
+    g = np.tanh(gt[..., h2:h3], out=gt[..., h2:h3])
+    o = _sigmoid_into(gt[..., h3:], out=gt[..., h3:])
+    np.multiply(gt[..., hidden:h2], c_prev, out=c_new)
+    np.multiply(gt[..., :hidden], g, out=tmp)
     c_new += tmp
     np.tanh(c_new, out=tc)
     return np.multiply(o, tc, out=h_new)
@@ -1016,12 +1016,30 @@ def _time_major(a, t_run):
     return np.ascontiguousarray(a[:, :t_run].swapaxes(0, 1))
 
 
-def _project(rows, weight, bias, shape):
-    """``rows @ weight + bias`` as one row-stable GEMM, viewed as
-    ``shape`` (the scans' hoisted input projection of every step)."""
+def linear_rows(rows, weight, bias=None):
+    """``rows @ weight (+ bias)`` for a plain ``(n, features)`` array.
+
+    Runs through :func:`_rowstable_matmul`, so a row has the same bits
+    in a scan's hoisted ``(T * B, F)`` projection and in a stream step's
+    ``(B, F)`` slice.  The scans, their stream steps and the incremental
+    streaming paths (RETAIN's visit embedding, SAnD's input embedding,
+    which cache per-step rows) all project through it.  Against a
+    batched ``(B, T, F) @ (F, M)`` matmul the rows agree whenever ``T >=
+    2``; the ``T == 1`` prefix runs in the GEMV regime, so streaming
+    models serve it via the exact full forward.
+    """
     out = _rowstable_matmul(rows, weight)
-    out += bias
-    return out.reshape(shape)
+    if bias is not None:
+        out += bias
+    return out
+
+
+def _saved_steps(t_run, *params):
+    """How many per-step slots a scan keeps for its backward: all
+    ``t_run`` when a graph is recorded over ``params``, else one slot
+    that the loop cycles (each scan indexes its stacks ``t % saved``)."""
+    needs_grad = is_grad_enabled() and any(p.requires_grad for p in params)
+    return t_run if needs_grad else 1
 
 
 def _scan_output(h_stack, steps, return_sequences):
@@ -1062,6 +1080,46 @@ def _batch_major(g_tm, steps):
     return full
 
 
+def _gru_step_into(gx_t, h_prev, w_hh, b_hh, gh, h_new, tmp):
+    """One GRU step, shared by :func:`gru_scan`, :func:`grud_scan` and
+    their stream steps, which run it on the same operand views.
+
+    The recurrent GEMM ``h_prev @ W_hh + b_hh`` goes to ``gh`` (the
+    backward reads its candidate block), then :func:`_gru_gates_into`
+    overwrites the input-side projection ``gx_t`` with the activations
+    and writes the new state to ``h_new``.  GRU-D passes its decayed
+    state ``γ_h ⊙ h_{t-1}`` as ``h_prev``.
+    """
+    np.matmul(h_prev, w_hh, out=gh)
+    gh += b_hh
+    return _gru_gates_into(gx_t, gh, h_prev, h_new, tmp)
+
+
+def _gru_step_backward_into(dh, g_act, gh, h_prev, w_hh, frozen, dgx, dgh,
+                            carry, om):
+    """Backward of :func:`_gru_step_into` for one step.
+
+    From ``dh`` (the gradient w.r.t. ``h_new``) and the step's saved
+    ``g_act``, ``gh`` and ``h_prev``, fills ``dgx``/``dgh`` with the
+    gate gradients and ``carry`` with the gradient w.r.t. ``h_prev``,
+    ``dgh @ W_hhᵀ + dh·z``.  ``frozen`` rows (a mask, or ``None``) did
+    not run the step and get zeros in all three; the caller passes
+    ``dh`` through them.  ``om`` is scratch of ``dh``'s shape.
+    """
+    hidden = dh.shape[-1]
+    _gru_gates_backward_into(dh, g_act, gh[..., 2 * hidden:], h_prev, dgx,
+                             dgh, om)
+    if frozen is not None:
+        dgx[frozen] = 0.0
+        dgh[frozen] = 0.0
+    np.matmul(dgh, w_hh.T, out=carry)
+    np.multiply(dh, g_act[..., :hidden], out=om)
+    carry += om
+    if frozen is not None:
+        carry[frozen] = 0.0
+    return carry
+
+
 def _gru_scan_sample(rng):
     batch, steps, num_in, hidden = 2, 3, 3, 2
 
@@ -1094,9 +1152,10 @@ def gru_scan(x, h0, w_ih, w_hh, b_ih, b_hh, lengths=None,
     :class:`~repro.nn.layers.GRUCell` (gate layout ``[update z | reset r
     | candidate n]``, candidate ``tanh(n_x + r * n_h)``) as one graph
     node: the input projection ``X @ W_ih`` for all
-    timesteps runs as a single GEMM up front, the python loop touches
-    only the small recurrent ``h @ W_hh`` product plus the elementwise
-    gate tail (all via out= ufuncs into preallocated stacks), and the
+    timesteps runs as a single GEMM up front, the python loop runs only
+    :func:`_gru_step_into` (the small recurrent ``h @ W_hh`` product plus
+    the elementwise gate tail, all via out= ufuncs into preallocated
+    stacks; :func:`gru_scan_step` runs the same helper), and the
     whole sequence records **one** graph node whose hand-derived backward
     replays the loop in reverse and then collapses the weight gradients
     into one big GEMM each.
@@ -1121,7 +1180,6 @@ def gru_scan(x, h0, w_ih, w_hh, b_ih, b_hh, lengths=None,
                          f"got shape {x.shape}")
     batch, steps, num_in = x.shape
     hidden = h0.shape[-1]
-    h2 = 2 * hidden
     if h0.shape != (batch, hidden) \
             or w_ih.shape != (num_in, 3 * hidden) \
             or w_hh.shape != (hidden, 3 * hidden):
@@ -1130,34 +1188,22 @@ def gru_scan(x, h0, w_ih, w_hh, b_ih, b_hh, lengths=None,
             f"w_ih {w_ih.shape}, w_hh {w_hh.shape}")
     lengths, t_run, min_len = _check_scan_lengths(lengths, batch, steps)
 
-    # One big GEMM for the input projection of every timestep.
+    # One big GEMM for the input projection of every timestep; each
+    # step's gate tail overwrites its slot with the activations.
     x_2d = _time_major(x.data, t_run).reshape(t_run * batch, num_in)
-    gx = _project(x_2d, w_ih.data, b_ih.data, (t_run, batch, 3 * hidden))
-    dt = gx.dtype
+    gact = linear_rows(x_2d, w_ih.data, b_ih.data).reshape(
+        t_run, batch, 3 * hidden)
+    dt = gact.dtype
 
-    needs_grad = is_grad_enabled() and any(
-        p.requires_grad for p in (x, h0, w_ih, w_hh, b_ih, b_hh))
+    saved = _saved_steps(t_run, x, h0, w_ih, w_hh, b_ih, b_hh)
+    gh = np.empty((saved, batch, 3 * hidden), dtype=dt)
     h_stack = np.empty((t_run + 1, batch, hidden), dtype=dt)
     h_stack[0] = h0.data
-    if needs_grad:
-        # One (B, 3H) activation slab per step: [z | r | n] post-gate.
-        gact = np.empty((t_run, batch, 3 * hidden), dtype=dt)
-        nhs = np.empty((t_run, batch, hidden), dtype=dt)
-    else:
-        scratch = np.empty((batch, 3 * hidden), dtype=dt)
-
-    w_hh_d, b_hh_d = w_hh.data, b_hh.data
-    gh = np.empty((batch, 3 * hidden), dtype=dt)
     tmp = np.empty((batch, hidden), dtype=dt)
     for t in range(t_run):
-        h_prev = h_stack[t]
-        h_new = h_stack[t + 1]
-        np.matmul(h_prev, w_hh_d, out=gh)
-        gh += b_hh_d
-        if needs_grad:
-            nhs[t] = gh[:, h2:]              # h @ W_hh_n + b_hh_n
-        _gru_gates_into(gx[t], gh, h_prev,
-                        gact[t] if needs_grad else scratch, h_new, tmp)
+        h_prev, h_new = h_stack[t], h_stack[t + 1]
+        _gru_step_into(gact[t], h_prev, w_hh.data, b_hh.data, gh[t % saved],
+                       h_new, tmp)
         frozen = _frozen_rows(lengths, min_len, t)
         if frozen is not None:
             h_new[frozen] = h_prev[frozen]
@@ -1165,33 +1211,25 @@ def gru_scan(x, h0, w_ih, w_hh, b_ih, b_hh, lengths=None,
     out_data = _scan_output(h_stack, steps, return_sequences)
 
     def backward(grad):
-        w_ih_d = w_ih.data
         dh = _final_state_grad(grad, t_run, return_sequences)
+        carry = np.empty((batch, hidden), dtype=dt)
+        om = np.empty_like(carry)
         dgx = np.empty((t_run, batch, 3 * hidden), dtype=dt)
         dgh = np.empty_like(dgx)
-        om = np.empty((batch, hidden), dtype=dt)
-        scr = np.empty_like(om)
         for t in range(t_run - 1, -1, -1):
             if return_sequences:
                 dh += grad[:, t]
-            z = gact[t, :, :hidden]
-            dgx_t, dgh_t = dgx[t], dgh[t]
-            _gru_gates_backward_into(dh, gact[t], nhs[t], h_stack[t],
-                                     dgx_t, dgh_t, om)
             frozen = _frozen_rows(lengths, min_len, t)
-            if frozen is not None:
-                dgx_t[frozen] = 0.0
-                dgh_t[frozen] = 0.0
-            carry = dgh_t @ w_hh_d.T
-            np.multiply(dh, z, out=scr)
-            carry += scr
+            _gru_step_backward_into(dh, gact[t], gh[t], h_stack[t],
+                                    w_hh.data, frozen, dgx[t], dgh[t],
+                                    carry, om)
             if frozen is not None:
                 carry[frozen] = dh[frozen]
-            dh = carry
+            dh, carry = carry, dh
         dgx_2d = dgx.reshape(-1, 3 * hidden)
         dgh_2d = dgh.reshape(-1, 3 * hidden)
         if x.requires_grad:
-            dx_tm = (dgx_2d @ w_ih_d.T).reshape(t_run, batch, num_in)
+            dx_tm = (dgx_2d @ w_ih.data.T).reshape(t_run, batch, num_in)
             x._accumulate(_batch_major(dx_tm, steps), owned=True)
         if h0.requires_grad:
             h0._accumulate(dh, owned=True)
@@ -1227,7 +1265,7 @@ def _per_feature_step_into(x_t, h_prev, w_col, w_hh_t, b_col, gt, gh, h_new,
     np.multiply(x_t[:, None], w_col, out=gt)
     gt += b_col
     np.matmul(w_hh_t, h_prev, out=gh)
-    _gru_gates_into(*_gates_last(gt, gh, h_prev, gt, h_new, tmp))
+    _gru_gates_into(*_gates_last(gt, gh, h_prev, h_new, tmp))
     return h_new
 
 
@@ -1358,6 +1396,40 @@ def per_feature_gru_scan(values, w_ih, w_hh, bias):
     return Tensor._make(out_data, (values, w_ih, w_hh, bias), backward)
 
 
+def _grud_inputs(values, mask, deltas, input_decay, hidden_decay_w,
+                 hidden_decay_b, w_ih, b_ih):
+    """GRU-D's input side for ``(..., C)`` rows, shared by
+    :func:`grud_scan` (time-major ``(T, B, C)``) and
+    :func:`grud_scan_step` (``(B, C)``).
+
+    Returns ``(gamma_x, xm, ph, gamma_h, gx)``: the input decay
+    ``exp(-relu(δ ⊙ w))``, ``[x̂ ; m]`` with ``x̂ = (m + (1-m) γ_x) ⊙
+    v``, the pre-relu ``δ W_h + b_h``, the hidden decay
+    ``exp(-relu(·))`` of it, and the gate projection ``[x̂ ; m] @ W_ih +
+    b_ih``.  ``mask`` must be in the compute dtype.
+    """
+    lead, channels = values.shape[:-1], values.shape[-1]
+    gamma_x = deltas * input_decay               # pre-activation ...
+    np.maximum(gamma_x, 0.0, out=gamma_x)        # ... -> relu ...
+    np.negative(gamma_x, out=gamma_x)
+    np.exp(gamma_x, out=gamma_x)                 # ... -> decay
+    xm = np.empty(lead + (2 * channels,), dtype=np.result_type(values, w_ih))
+    x_hat = xm[..., :channels]
+    np.subtract(1.0, mask, out=x_hat)            # (m + (1-m) γ_x) ⊙ v
+    x_hat *= gamma_x
+    x_hat += mask
+    x_hat *= values
+    xm[..., channels:] = mask
+    ph = linear_rows(deltas.reshape(-1, channels), hidden_decay_w,
+                     hidden_decay_b).reshape(lead + (-1,))
+    gamma_h = np.maximum(ph, 0.0)
+    np.negative(gamma_h, out=gamma_h)
+    np.exp(gamma_h, out=gamma_h)
+    gx = linear_rows(xm.reshape(-1, 2 * channels), w_ih, b_ih).reshape(
+        lead + (-1,))
+    return gamma_x, xm, ph, gamma_h, gx
+
+
 def _grud_scan_sample(rng):
     batch, steps, channels, hidden = 2, 3, 3, 2
     mask = (rng.random(size=(batch, steps, channels)) < 0.6).astype(
@@ -1399,9 +1471,9 @@ def grud_scan(values, mask, deltas, h0, input_decay, hidden_decay_w,
     ``x̂ = (m + (1-m) γ_x) ⊙ v``, the hidden-decay GEMM
     ``γ_h = exp(-relu(δ W_h + b_h))`` and the gate projection
     ``[x̂ ; m] @ W_ih`` — is hoisted out of the time loop into batched
-    ``(T*B, ·)`` computations, leaving only the per-step recurrent GEMM
-    on the decayed state ``γ_h(t) ⊙ h_{t-1}`` plus the out=-buffered
-    gate tail inside the loop.  One hand-derived backward walks the
+    ``(T*B, ·)`` computations (:func:`_grud_inputs`), leaving only the
+    GRU step :func:`_gru_step_into` on the decayed state ``γ_h(t) ⊙
+    h_{t-1}`` inside the loop.  One hand-derived backward walks the
     sequence once in reverse filling per-step gate/decay delta stacks,
     then collapses every weight gradient into a single GEMM.
 
@@ -1423,7 +1495,6 @@ def grud_scan(values, mask, deltas, h0, input_decay, hidden_decay_w,
                          f"values, got shape {values.shape}")
     batch, steps, channels = values.shape
     hidden = h0.shape[-1]
-    h2 = 2 * hidden
     mask_data = np.asarray(getattr(mask, "data", mask))
     if mask_data.shape != (batch, steps, channels) \
             or deltas.shape != (batch, steps, channels):
@@ -1443,59 +1514,28 @@ def grud_scan(values, mask, deltas, h0, input_decay, hidden_decay_w,
     lengths, t_run, min_len = _check_scan_lengths(lengths, batch, steps)
     dt = np.result_type(values.data, w_ih.data)
 
-    # Hoisted input plane, all time-major: input decay, imputation, the
-    # hidden-decay GEMM, and the gate projection of every timestep.
+    # The input plane of every timestep, hoisted and time-major.
     v_tm = _time_major(values.data, t_run)
     d_tm = _time_major(deltas.data, t_run)
     m_tm = mask_data[:, :t_run].swapaxes(0, 1).astype(dt)
-    gamma_x = d_tm * input_decay.data            # pre-activation ...
-    np.maximum(gamma_x, 0.0, out=gamma_x)        # ... -> relu ...
-    np.negative(gamma_x, out=gamma_x)
-    np.exp(gamma_x, out=gamma_x)                 # ... -> decay (T, B, C)
-    xm = np.empty((t_run, batch, 2 * channels), dtype=dt)
-    x_hat = xm[..., :channels]
-    np.subtract(1.0, m_tm, out=x_hat)            # (m + (1-m) γ_x) ⊙ v
-    x_hat *= gamma_x
-    x_hat += m_tm
-    x_hat *= v_tm
-    xm[..., channels:] = m_tm
-    d_2d = d_tm.reshape(t_run * batch, channels)
-    ph = _rowstable_matmul(d_2d, hidden_decay_w.data)
-    ph += hidden_decay_b.data                    # pre-relu, kept for bwd
-    gamma_h = np.maximum(ph, 0.0)
-    np.negative(gamma_h, out=gamma_h)
-    np.exp(gamma_h, out=gamma_h)
-    gamma_h = gamma_h.reshape(t_run, batch, hidden)
-    xm_2d = xm.reshape(t_run * batch, 2 * channels)
-    gx = _project(xm_2d, w_ih.data, b_ih.data, (t_run, batch, 3 * hidden))
+    gamma_x, xm, ph, gamma_h, gact = _grud_inputs(
+        v_tm, m_tm, d_tm, input_decay.data, hidden_decay_w.data,
+        hidden_decay_b.data, w_ih.data, b_ih.data)
 
-    needs_grad = is_grad_enabled() and any(
-        p.requires_grad for p in (values, deltas, h0, input_decay,
-                                  hidden_decay_w, hidden_decay_b,
-                                  w_ih, w_hh, b_ih, b_hh))
+    saved = _saved_steps(t_run, values, deltas, h0, input_decay,
+                         hidden_decay_w, hidden_decay_b, w_ih, w_hh, b_ih,
+                         b_hh)
+    gh = np.empty((saved, batch, 3 * hidden), dtype=dt)
+    heff = np.empty((saved, batch, hidden), dtype=dt)
     h_stack = np.empty((t_run + 1, batch, hidden), dtype=dt)
     h_stack[0] = h0.data
-    if needs_grad:
-        gact = np.empty((t_run, batch, 3 * hidden), dtype=dt)
-        nhs = np.empty((t_run, batch, hidden), dtype=dt)
-    else:
-        scratch = np.empty((batch, 3 * hidden), dtype=dt)
-
-    w_hh_d, b_hh_d = w_hh.data, b_hh.data
-    gh = np.empty((batch, 3 * hidden), dtype=dt)
     tmp = np.empty((batch, hidden), dtype=dt)
-    heff = np.empty((batch, hidden), dtype=dt)
     for t in range(t_run):
-        h_prev = h_stack[t]
-        h_new = h_stack[t + 1]
-        np.multiply(gamma_h[t], h_prev, out=heff)
-        np.matmul(heff, w_hh_d, out=gh)
-        gh += b_hh_d
-        if needs_grad:
-            nhs[t] = gh[:, h2:]
-        # z*γ_h h + (1-z)*n: the gate tail over the decayed state.
-        _gru_gates_into(gx[t], gh, heff,
-                        gact[t] if needs_grad else scratch, h_new, tmp)
+        h_prev, h_new = h_stack[t], h_stack[t + 1]
+        # The GRU step over the decayed state γ_h ⊙ h_{t-1}.
+        h_dec = np.multiply(gamma_h[t], h_prev, out=heff[t % saved])
+        _gru_step_into(gact[t], h_dec, w_hh.data, b_hh.data, gh[t % saved],
+                       h_new, tmp)
         frozen = _frozen_rows(lengths, min_len, t)
         if frozen is not None:
             h_new[frozen] = h_prev[frozen]
@@ -1504,35 +1544,22 @@ def grud_scan(values, mask, deltas, h0, input_decay, hidden_decay_w,
 
     def backward(grad):
         dh = _final_state_grad(grad, t_run, return_sequences)
+        carry = np.empty((batch, hidden), dtype=dt)
+        om = np.empty_like(carry)
         dgx = np.empty((t_run, batch, 3 * hidden), dtype=dt)
         dgh = np.empty_like(dgx)
         dgamma_h = np.empty((t_run, batch, hidden), dtype=dt)
-        om = np.empty((batch, hidden), dtype=dt)
-        scr = np.empty_like(om)
-        heff_t = np.empty_like(om)
         for t in range(t_run - 1, -1, -1):
             if return_sequences:
                 dh += grad[:, t]
-            z = gact[t, :, :hidden]
-            h_prev = h_stack[t]
-            np.multiply(gamma_h[t], h_prev, out=heff_t)
-            dgx_t, dgh_t = dgx[t], dgh[t]
-            _gru_gates_backward_into(dh, gact[t], nhs[t], heff_t,
-                                     dgx_t, dgh_t, om)
             frozen = _frozen_rows(lengths, min_len, t)
-            if frozen is not None:
-                dgx_t[frozen] = 0.0
-                dgh_t[frozen] = 0.0
-            carry = dgh_t @ w_hh_d.T                 # d(γ_h ⊙ h_prev)
-            np.multiply(dh, z, out=scr)
-            carry += scr
-            if frozen is not None:
-                carry[frozen] = 0.0
-            np.multiply(carry, h_prev, out=dgamma_h[t])
+            _gru_step_backward_into(dh, gact[t], gh[t], heff[t], w_hh.data,
+                                    frozen, dgx[t], dgh[t], carry, om)
+            np.multiply(carry, h_stack[t], out=dgamma_h[t])  # d(γ_h ⊙ h)
             carry *= gamma_h[t]
             if frozen is not None:
                 carry[frozen] = dh[frozen]
-            dh = carry
+            dh, carry = carry, dh
         dgx_2d = dgx.reshape(-1, 3 * hidden)
         dgh_2d = dgh.reshape(-1, 3 * hidden)
         x_side = (values.requires_grad or deltas.requires_grad
@@ -1563,11 +1590,12 @@ def grud_scan(values, mask, deltas, h0, input_decay, hidden_decay_w,
         if deltas.requires_grad or hidden_decay_w.requires_grad \
                 or hidden_decay_b.requires_grad:
             dph = dgamma_h.reshape(t_run * batch, hidden)
-            dph *= gamma_h.reshape(t_run * batch, hidden)
+            dph *= gamma_h.reshape(dph.shape)
             np.negative(dph, out=dph)
-            dph *= ph > 0
+            dph *= ph.reshape(dph.shape) > 0
             if hidden_decay_w.requires_grad:
-                hidden_decay_w._accumulate(d_2d.T @ dph, owned=True)
+                hidden_decay_w._accumulate(
+                    d_tm.reshape(-1, channels).T @ dph, owned=True)
             if hidden_decay_b.requires_grad:
                 hidden_decay_b._accumulate(dph.sum(axis=0), owned=True)
             if deltas.requires_grad:
@@ -1584,10 +1612,10 @@ def grud_scan(values, mask, deltas, h0, input_decay, hidden_decay_w,
         if h0.requires_grad:
             h0._accumulate(dh, owned=True)
         if w_ih.requires_grad:
-            w_ih._accumulate(xm_2d.T @ dgx_2d, owned=True)
+            w_ih._accumulate(xm.reshape(-1, 2 * channels).T @ dgx_2d,
+                             owned=True)
         if w_hh.requires_grad:
-            heff_2d = (gamma_h * h_stack[:t_run]).reshape(-1, hidden)
-            w_hh._accumulate(heff_2d.T @ dgh_2d, owned=True)
+            w_hh._accumulate(heff.reshape(-1, hidden).T @ dgh_2d, owned=True)
         if b_ih.requires_grad:
             b_ih._accumulate(dgx_2d.sum(axis=0), owned=True)
         if b_hh.requires_grad:
@@ -1597,6 +1625,28 @@ def grud_scan(values, mask, deltas, h0, input_decay, hidden_decay_w,
         out_data,
         (values, deltas, h0, input_decay, hidden_decay_w, hidden_decay_b,
          w_ih, w_hh, b_ih, b_hh), backward)
+
+
+def _stagenet_step_into(gx_t, sx_t, h_prev, c_prev, w_hh, w_sh, gh, c_mid,
+                        tc, s, h_new, c_new, tmp):
+    """One step of :func:`stagenet_scan`, shared with
+    :func:`stagenet_scan_step` as :func:`_gru_step_into` is for the GRUs.
+
+    ``h_prev @ W_hh`` goes to ``gh``; the LSTM tail
+    (:func:`_lstm_gates_into`) overwrites ``gx_t`` with the activations
+    and writes ``h_new``, the pre-stage cell ``c_mid`` and its ``tanh``
+    ``tc``; the stage gate ``σ(h_new W_sh + sx_t)`` goes to ``s`` (which
+    must not alias ``sx_t``, the hoisted ``x_t W_sx + b_s``) and the
+    re-calibrated cell ``s ⊙ c_mid`` to ``c_new``.  Returns ``(h_new,
+    c_new)``.
+    """
+    np.matmul(h_prev, w_hh, out=gh)
+    _lstm_gates_into(gx_t, gh, c_prev, c_mid, tc, h_new, tmp)
+    np.matmul(h_new, w_sh, out=s)
+    s += sx_t
+    _sigmoid_into(s, out=s)
+    np.multiply(s, c_mid, out=c_new)
+    return h_new, c_new
 
 
 def _stagenet_scan_sample(rng):
@@ -1637,8 +1687,9 @@ def stagenet_scan(x, h0, c0, w_ih, w_hh, bias, stage_weight, stage_bias,
     ``stage_weight`` is the stacked ``(hidden + features, 1)`` kernel of
     the model's stage Dense layer (hidden rows first); its input-side
     slice joins the gate projection in the hoisted pre-loop GEMMs, so
-    the loop touches only the recurrent GEMM, the ``(B, 1)`` stage
-    product, and the out=-buffered elementwise tail.  Returns the hidden
+    the loop runs only :func:`_stagenet_step_into`: the recurrent GEMM,
+    the ``(B, 1)`` stage product, and the out=-buffered elementwise
+    tail.  Returns the hidden
     trajectory ``(batch, steps, hidden)`` (the conv/attention head reads
     all of it) or the final hidden state with ``return_sequences=False``.
     """
@@ -1665,45 +1716,29 @@ def stagenet_scan(x, h0, c0, w_ih, w_hh, bias, stage_weight, stage_bias,
     w_sh = stage_weight.data[:hidden]
     w_sx = stage_weight.data[hidden:]
     x_2d = _time_major(x.data, t_run).reshape(t_run * batch, num_in)
-    gx = _project(x_2d, w_ih.data, bias.data, (t_run, batch, 4 * hidden))
-    sx = _project(x_2d, w_sx, stage_bias.data, (t_run, batch, 1))
-    dt = gx.dtype
+    gact = linear_rows(x_2d, w_ih.data, bias.data).reshape(
+        t_run, batch, 4 * hidden)
+    sx = linear_rows(x_2d, w_sx, stage_bias.data).reshape(t_run, batch, 1)
+    dt = gact.dtype
 
-    needs_grad = is_grad_enabled() and any(
-        p.requires_grad for p in (x, h0, c0, w_ih, w_hh, bias,
-                                  stage_weight, stage_bias))
+    saved = _saved_steps(t_run, x, h0, c0, w_ih, w_hh, bias, stage_weight,
+                         stage_bias)
+    cmid = np.empty((saved, batch, hidden), dtype=dt)
+    tcs = np.empty_like(cmid)
+    s_stack = np.empty((saved, batch, 1), dtype=dt)
     h_stack = np.empty((t_run + 1, batch, hidden), dtype=dt)
     c_stack = np.empty_like(h_stack)
     h_stack[0] = h0.data
     c_stack[0] = c0.data
-    if needs_grad:
-        gact = np.empty((t_run, batch, 4 * hidden), dtype=dt)
-        tcs = np.empty((t_run, batch, hidden), dtype=dt)
-        cmid = np.empty((t_run, batch, hidden), dtype=dt)
-        s_stack = np.empty((t_run, batch, 1), dtype=dt)
-    else:
-        scratch = np.empty((batch, 4 * hidden), dtype=dt)
-        scratch_tc = np.empty((batch, hidden), dtype=dt)
-        scratch_cm = np.empty((batch, hidden), dtype=dt)
-        scratch_s = np.empty((batch, 1), dtype=dt)
-
-    w_hh_d = w_hh.data
     gh = np.empty((batch, 4 * hidden), dtype=dt)
     tmp = np.empty((batch, hidden), dtype=dt)
-    pbuf = np.empty((batch, 1), dtype=dt)
     for t in range(t_run):
         h_prev, c_prev = h_stack[t], c_stack[t]
         h_new, c_new = h_stack[t + 1], c_stack[t + 1]
-        np.matmul(h_prev, w_hh_d, out=gh)
-        c_mid = cmid[t] if needs_grad else scratch_cm
-        _lstm_gates_into(gx[t], gh, c_prev,
-                         gact[t] if needs_grad else scratch, c_mid,
-                         tcs[t] if needs_grad else scratch_tc, h_new, tmp)
-        np.matmul(h_new, w_sh, out=pbuf)                   # stage gate
-        pbuf += sx[t]
-        s = _sigmoid_into(pbuf, out=s_stack[t] if needs_grad
-                          else scratch_s)
-        np.multiply(s, c_mid, out=c_new)                   # re-calibrate
+        k = t % saved
+        _stagenet_step_into(gact[t], sx[t], h_prev, c_prev, w_hh.data, w_sh,
+                            gh, cmid[k], tcs[k], s_stack[k], h_new, c_new,
+                            tmp)
         frozen = _frozen_rows(lengths, min_len, t)
         if frozen is not None:
             h_new[frozen] = h_prev[frozen]
@@ -1739,7 +1774,7 @@ def stagenet_scan(x, h0, c0, w_ih, w_hh, bias, stage_weight, stage_bias,
             if frozen is not None:
                 dg_t[frozen] = 0.0
                 dp_t[frozen] = 0.0
-            carry = dg_t @ w_hh_d.T
+            carry = dg_t @ w_hh.data.T
             dc_next = np.multiply(dcm, gact[t, :, hidden:h2])
             if frozen is not None:
                 carry[frozen] = dh[frozen]
@@ -2195,21 +2230,18 @@ def gru_scan_step(x_t, h, w_ih, w_hh, b_ih, b_hh):
 
     Operates on plain arrays (no tensors, no graph, no backward): ``x_t``
     is ``(batch, features)``, ``h`` is ``(batch, hidden)``; returns the
-    new hidden state.  The body replays exactly the scan loop's ufunc
-    tail and runs the input projection through :func:`_rowstable_matmul`
-    — the same row-stable GEMM class as the scan's flattened projection
-    — so feeding a sequence one step at a time reproduces ``gru_scan``
-    bit-for-bit at every prefix.  That equality is the streaming
-    inference contract (:class:`repro.serve.StreamingSession`); it holds
-    per batch width, i.e. a streaming session of ``n`` admissions
-    matches a full forward over those same ``n`` rows.
+    new hidden state.  It is the scan's own row-stable input projection
+    (:func:`linear_rows`) plus the scan's own step
+    (:func:`_gru_step_into`), so feeding a sequence one step at a time
+    reproduces ``gru_scan`` bit for bit at every prefix by construction.
+    That equality is the streaming inference contract
+    (:class:`repro.serve.StreamingSession`); it holds per batch width,
+    i.e. a streaming session of ``n`` admissions matches a full forward
+    over those same ``n`` rows.
     """
-    gh = np.matmul(h, w_hh)
-    gh += b_hh
-    gt = _rowstable_matmul(x_t, w_ih)
-    gt += b_ih
-    return _gru_gates_into(gt, gh, h, np.empty_like(gt), np.empty_like(h),
-                           np.empty_like(h))
+    gt = linear_rows(x_t, w_ih, b_ih)
+    return _gru_step_into(gt, h, w_hh, b_hh, np.empty_like(gt),
+                          np.empty_like(h), np.empty_like(h))
 
 
 def per_feature_gru_scan_step(x_t, h, w_ih, w_hh, bias):
@@ -2234,76 +2266,31 @@ def per_feature_gru_scan_step(x_t, h, w_ih, w_hh, bias):
 def grud_scan_step(values_t, mask_t, deltas_t, h, input_decay,
                    hidden_decay_w, hidden_decay_b, w_ih, w_hh, b_ih, b_hh):
     """One inference-only GRU-D step, bit-identical to a :func:`grud_scan`
-    step; see :func:`gru_scan_step`.  All inputs are plain arrays;
-    ``mask_t`` must already be in the compute dtype.  Returns the new
-    hidden state.
+    step: the scan's input plane (:func:`_grud_inputs`) on ``(batch, C)``
+    rows and the GRU step (:func:`_gru_step_into`) on the decayed state;
+    see :func:`gru_scan_step`.  All inputs are plain arrays; ``mask_t``
+    must already be in the compute dtype.  Returns the new hidden state.
     """
-    channels = values_t.shape[-1]
-    gamma_x = deltas_t * input_decay
-    np.maximum(gamma_x, 0.0, out=gamma_x)
-    np.negative(gamma_x, out=gamma_x)
-    np.exp(gamma_x, out=gamma_x)
-    xm = np.empty((values_t.shape[0], 2 * channels), dtype=gamma_x.dtype)
-    x_hat = xm[:, :channels]
-    np.subtract(1.0, mask_t, out=x_hat)          # (m + (1-m) γ_x) ⊙ v
-    x_hat *= gamma_x
-    x_hat += mask_t
-    x_hat *= values_t
-    xm[:, channels:] = mask_t
-    ph = _rowstable_matmul(deltas_t, hidden_decay_w)
-    ph += hidden_decay_b
-    np.maximum(ph, 0.0, out=ph)
-    np.negative(ph, out=ph)
-    gamma_h = np.exp(ph, out=ph)
-    heff = np.multiply(gamma_h, h)
-    gh = np.matmul(heff, w_hh)
-    gh += b_hh
-    gt = _rowstable_matmul(xm, w_ih)
-    gt += b_ih
-    return _gru_gates_into(gt, gh, heff, np.empty_like(gt),
-                           np.empty_like(heff), np.empty_like(heff))
+    *_, gamma_h, gt = _grud_inputs(values_t, mask_t, deltas_t, input_decay,
+                                   hidden_decay_w, hidden_decay_b, w_ih,
+                                   b_ih)
+    h_dec = np.multiply(gamma_h, h)
+    return _gru_step_into(gt, h_dec, w_hh, b_hh, np.empty_like(gt),
+                          np.empty_like(h), np.empty_like(h))
 
 
 def stagenet_scan_step(x_t, h, c, w_ih, w_hh, bias, stage_weight,
                        stage_bias):
     """One inference-only StageNet step, bit-identical to a
-    :func:`stagenet_scan` step; see :func:`gru_scan_step`.  Returns
-    ``(h_new, c_new)`` where ``c_new`` is the stage-recalibrated cell.
+    :func:`stagenet_scan` step: the scan's two row-stable projections
+    and its step (:func:`_stagenet_step_into`); see
+    :func:`gru_scan_step`.  Returns ``(h_new, c_new)`` where ``c_new`` is
+    the stage-recalibrated cell.
     """
     hidden = h.shape[-1]
-    w_sh = stage_weight[:hidden]
-    w_sx = stage_weight[hidden:]
-    gh = np.matmul(h, w_hh)
-    gt = _rowstable_matmul(x_t, w_ih)
-    gt += bias
-    c_mid = np.empty_like(c)
-    h_new = _lstm_gates_into(gt, gh, c, gt, c_mid, np.empty_like(c),
-                             np.empty_like(h), np.empty_like(c))
-    p = np.matmul(h_new, w_sh)                         # stage gate
-    sxt = _rowstable_matmul(x_t, w_sx)
-    sxt += stage_bias
-    p += sxt
-    s = _sigmoid_into(p, out=p)
-    c_new = np.multiply(s, c_mid)
-    return h_new, c_new
-
-
-def linear_rows(x_t, weight, bias=None):
-    """Inference-only affine projection of one timestep slice.
-
-    ``x_t`` is a plain ``(batch, features)`` array; returns
-    ``x_t @ weight (+ bias)`` through :func:`_rowstable_matmul`, the
-    same row-stable GEMM class as a batched ``(B, T, F) @ (F, M)``
-    projection over a multi-step sequence.  Row ``b`` of the result is
-    therefore bit-identical to row ``(b, t)`` of the full-sequence
-    projection whenever ``T >= 2`` — which is what lets the incremental
-    streaming paths (RETAIN's visit embedding, SAnD's input embedding)
-    cache per-step projections instead of re-embedding the whole prefix
-    every step.  The lone exception is the ``T == 1`` prefix, whose
-    full-sequence projection runs in the GEMV regime; streaming models
-    serve that prefix via the exact full forward instead.
-    """
-    out = _rowstable_matmul(x_t, weight)
-    if bias is not None:
-        out += bias
-    return out
+    gt = linear_rows(x_t, w_ih, bias)
+    sx = linear_rows(x_t, stage_weight[hidden:], stage_bias)
+    c_mid, tc, h_new, c_new, tmp = (np.empty_like(c) for _ in range(5))
+    return _stagenet_step_into(gt, sx, h, c, w_hh, stage_weight[:hidden],
+                               np.empty_like(gt), c_mid, tc,
+                               np.empty_like(sx), h_new, c_new, tmp)
